@@ -11,7 +11,10 @@ from __future__ import annotations
 
 import hashlib
 import random
+from itertools import repeat, starmap
 from typing import Any, Iterator, List, Sequence, Tuple, TypeVar
+
+import numpy as np
 
 __all__ = ["RandomStream", "StreamFactory"]
 
@@ -34,6 +37,16 @@ class RandomStream:
 
     def random(self) -> float:
         return self._rng.random()
+
+    def randoms(self, count: int) -> np.ndarray:
+        """``count`` consecutive :meth:`random` draws as one float64 array.
+
+        Consumes the stream exactly as ``count`` single calls would, so a
+        bulk consumer (placement sampling) stays draw-for-draw identical
+        to a scalar one.
+        """
+        return np.fromiter(starmap(self._rng.random, repeat((), count)),
+                           dtype=np.float64, count=count)
 
     def expovariate(self, rate: float) -> float:
         return self._rng.expovariate(rate)

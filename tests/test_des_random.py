@@ -9,6 +9,14 @@ def test_same_seed_same_sequence():
     assert [a.random() for _ in range(20)] == [b.random() for _ in range(20)]
 
 
+def test_bulk_draw_is_the_scalar_sequence():
+    bulk = RandomStream(99)
+    scalar = RandomStream(99)
+    assert bulk.randoms(33).tolist() == [scalar.random() for _ in range(33)]
+    assert bulk.randoms(0).shape == (0,)
+    assert bulk.getstate() == scalar.getstate()
+
+
 def test_different_seeds_diverge():
     a = RandomStream(1)
     b = RandomStream(2)

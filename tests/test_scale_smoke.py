@@ -1,14 +1,16 @@
 """Scale smoke suite (``-m scale``): the two tiers at their own scales.
 
-A packet-level n=2000 experiment on the vectorized medium and a small
-packet-vs-fluid cross-validation — fast enough for CI, real enough to
-catch a broken fast path or a drifted calibration.  The full scale
-curves (n to 10^5) live in ``benchmarks/test_e12_extended_scale.py``.
+A packet-level n=2000 experiment on the vectorized medium, an n=5000
+world construction and a small packet-vs-fluid cross-validation — fast
+enough for CI, real enough to catch a broken fast path or a drifted
+calibration.  The full scale curves (n to 10^5) live in ``benchmarks/test_e12_extended_scale.py``.
 """
 
 import pytest
 
-from repro.sim.experiment import ExperimentConfig, run_experiment
+from repro.mobility.placement import is_connected
+from repro.sim.experiment import (ExperimentConfig, build_world,
+                                  run_experiment)
 from repro.sim.fluid import cross_validate
 from repro.workloads.scenarios import ScenarioConfig
 
@@ -24,6 +26,17 @@ def test_vectorized_n2000_experiment():
     assert result.delivery_ratio > 0.95
     # Flooding: every correct node relays once.
     assert result.transmissions_per_broadcast > 1500
+
+
+def test_n5000_world_builds_on_a_seed_that_needs_790_tries():
+    # Seed 2 is one of three in 1-8 that the former 500-try budget
+    # refused ("increase density or range") at the default degree 8.
+    world = build_world(ExperimentConfig(
+        scenario=ScenarioConfig(n=5000, seed=2),
+        protocol="flooding", medium="vectorized",
+        message_count=1, message_interval=1.0, warmup=2.0, drain=8.0))
+    assert len(world.nodes) == 5000
+    assert is_connected([node.position for node in world.nodes], 100.0)
 
 
 def test_fluid_cross_validation_stays_calibrated():
