@@ -51,7 +51,7 @@ def run_measurement():
     packet_delivery = {}
     for n in PACKET_NS:
         start = time.perf_counter()
-        result = run_experiment(_config(n, medium="vectorized"))
+        result = run_experiment(_config(n))
         wall = time.perf_counter() - start
         packet_delivery[n] = result.delivery_ratio
         rows.append({

@@ -28,7 +28,7 @@ from repro.core import NetworkNode, NodeStackConfig
 from repro.crypto import HmacScheme, KeyDirectory
 from repro.des import Simulator, StreamFactory
 from repro.fd import TrustLevel
-from repro.radio import Medium, Position
+from repro.radio import Position, VectorizedMedium
 
 DIAMOND = [(0.0, 0.0), (80.0, 30.0), (80.0, -30.0), (160.0, 0.0)]
 MUTE_NODE = 2
@@ -37,7 +37,7 @@ MUTE_NODE = 2
 def build_network():
     sim = Simulator()
     streams = StreamFactory(7)
-    medium = Medium(sim, streams.stream("medium"))
+    medium = VectorizedMedium(sim, streams.stream("medium"))
     directory = KeyDirectory(HmacScheme(seed=b"demo"))
     nodes = []
     for node_id, (x, y) in enumerate(DIAMOND):

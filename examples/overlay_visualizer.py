@@ -16,7 +16,7 @@ from repro.crypto import HmacScheme, KeyDirectory
 from repro.des import Simulator, StreamFactory
 from repro.mobility import connected_uniform_positions
 from repro.overlay import evaluate_overlay
-from repro.radio import Area, Medium
+from repro.radio import Area, VectorizedMedium
 
 N = 40
 TX_RANGE = 100.0
@@ -30,7 +30,7 @@ def run_election(rule: str):
     area = Area(SIDE, SIDE)
     positions = connected_uniform_positions(area, N, TX_RANGE,
                                             streams.stream("place"))
-    medium = Medium(sim, streams.stream("medium"))
+    medium = VectorizedMedium(sim, streams.stream("medium"))
     directory = KeyDirectory(HmacScheme(seed=b"viz"))
     stack = NodeStackConfig(overlay_rule=rule)
     nodes = [NetworkNode(sim, medium, i, positions[i], TX_RANGE, streams,

@@ -18,7 +18,7 @@ from repro.adversary import MuteBehavior
 from repro.core import NetworkNode, NodeStackConfig
 from repro.crypto import HmacScheme, KeyDirectory
 from repro.des import Simulator, StreamFactory
-from repro.radio import Medium, Position
+from repro.radio import Position, VectorizedMedium
 from repro.reliable import ReliableChannel
 
 POSITIONS = [(0.0, 0.0), (80.0, 40.0), (80.0, -40.0),
@@ -36,7 +36,7 @@ CHAT = {
 def main() -> None:
     sim = Simulator()
     streams = StreamFactory(33)
-    medium = Medium(sim, streams.stream("medium"))
+    medium = VectorizedMedium(sim, streams.stream("medium"))
     directory = KeyDirectory(HmacScheme(seed=b"chat"))
     nodes = [NetworkNode(sim, medium, i, Position(*POSITIONS[i]), 100.0,
                          streams, directory, NodeStackConfig(),

@@ -15,7 +15,7 @@ from repro.adversary import MuteBehavior
 from repro.core import NetworkNode, NodeStackConfig
 from repro.crypto import HmacScheme, KeyDirectory
 from repro.des import Simulator, StreamFactory
-from repro.radio import Medium, Position
+from repro.radio import Position, VectorizedMedium
 from repro.tracing import TraceRecorder
 
 DIAMOND = [(0.0, 0.0), (80.0, 30.0), (80.0, -30.0), (160.0, 0.0)]
@@ -25,7 +25,7 @@ MUTE_NODE = 2
 def main() -> None:
     sim = Simulator()
     streams = StreamFactory(7)
-    medium = Medium(sim, streams.stream("medium"))
+    medium = VectorizedMedium(sim, streams.stream("medium"))
     directory = KeyDirectory(HmacScheme(seed=b"timeline"))
     nodes = [NetworkNode(sim, medium, i, Position(*DIAMOND[i]), 100.0,
                          streams, directory, NodeStackConfig(),

@@ -36,7 +36,6 @@ from .obs import (
 )
 from .sim.checkpoint import CheckpointConfig
 from .sim.experiment import (
-    MEDIA,
     PROTOCOLS,
     TIERS,
     ExperimentConfig,
@@ -164,10 +163,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--metrics-out", metavar="FILE.csv", default=None,
                        help="write the sampled metric series as CSV "
                             "(implies --observe)")
-        p.add_argument("--medium", choices=MEDIA, default="grid",
-                       help="medium backend (all pinned bit-for-bit "
-                            "equivalent; 'vectorized' is the fast path "
-                            "at n >= ~500)")
         p.add_argument("--tier", choices=TIERS, default="packet",
                        help="simulation tier: 'packet' (discrete-event) "
                             "or 'fluid' (calibrated mean-field model, "
@@ -462,7 +457,6 @@ def _config_from(args: argparse.Namespace, protocol: str,
         signature_scheme=getattr(args, "scheme", "hmac"),
         profile=getattr(args, "profile", False),
         checkpoint=checkpoint, observe=observe,
-        medium=getattr(args, "medium", "grid"),
         tier=getattr(args, "tier", "packet"),
         rivals=rivals)
 

@@ -15,7 +15,7 @@ Two properties are load-bearing:
 * **Determinism.**  Span ids are derived from ``(message_id, node, k)``
   where ``k`` is a per-(message, node) occurrence counter — no wall
   clock, no ``uuid4`` — so traces are byte-identical across worker
-  counts, grid vs brute-force medium, and checkpoint/resume.  The
+  counts, vectorized vs scalar medium, and checkpoint/resume.  The
   context itself is picklable and rides inside the experiment world, so
   a resumed run continues the very same span streams.
 """

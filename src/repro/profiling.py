@@ -67,9 +67,8 @@ PHASES = (
     "codec.encode_hit",    # wire-frame cache hits (encoding skipped)
     "codec.decode",        # TLV wire decodings
     "medium.complete",     # reception resolution (inclusive of handlers)
-    "medium.candidates",   # candidate-receiver lookup (grid query, brute
-                           # scan, or vectorized mask computation)
-    "medium.grid_rebuild", # spatial-hash-grid growth rebuilds
+    "medium.candidates",   # candidate-receiver lookup (vectorized mask
+                           # computation, or the scalar oracle's scan)
     "kernel.event",        # event dispatch (inclusive of nested phases)
 )
 

@@ -2,7 +2,6 @@
 
 from .energy import EnergyConfig, EnergyMeter, EnergyModel
 from .geometry import Area, Position
-from .grid import SpatialHashGrid
 from .mac import CsmaMac, MacConfig, MacStats
 from .medium import Medium, MediumObserver, MediumStats, Transmission
 from .neighbors import HelloMessage, NeighborService
@@ -30,7 +29,6 @@ __all__ = [
     "Position",
     "PropagationModel",
     "Radio",
-    "SpatialHashGrid",
     "Transmission",
     "UnitDisk",
     "VectorizedMedium",

@@ -29,12 +29,6 @@ class Position:
     def translated(self, dx: float, dy: float) -> "Position":
         return Position(self.x + dx, self.y + dy)
 
-    def cell(self, cell_size: float) -> "tuple[int, int]":
-        """Integer cell coordinates on a uniform grid of square cells
-        (the spatial-hash key used by :class:`repro.radio.grid.SpatialHashGrid`)."""
-        return (math.floor(self.x / cell_size),
-                math.floor(self.y / cell_size))
-
 
 @dataclass(frozen=True)
 class Area:

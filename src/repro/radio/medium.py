@@ -20,14 +20,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional
 
 from .. import profiling
 from ..des.kernel import Simulator
 from ..des.random import RandomStream
 from ..obs import context as obs
 from .geometry import Position
-from .grid import SpatialHashGrid
 from .packet import Packet
 from .propagation import PropagationModel, UnitDisk
 
@@ -108,33 +107,20 @@ class _AttachedRadio:
 class Medium:
     """The single shared broadcast channel of the ad-hoc network.
 
-    Candidate receivers are enumerated through a :class:`SpatialHashGrid`
-    (cell size = the largest attached radio's maximum reach), so reception
-    resolution costs O(neighborhood) instead of O(n).  The grid is a pure
-    index: every candidate is still distance-checked against its live
-    position, and candidates are visited in ascending node-id order, so a
-    grid-indexed medium is bit-for-bit identical to a brute-force one
-    (``use_grid=False``) — the equivalence test suite pins this.
-
-    Positions are kept in sync two ways: :meth:`update_position` (called by
-    ``Radio``'s position setter, i.e. by every mobility model), and
-    opportunistic re-sync whenever the medium itself polls a radio's
-    position.  Code that attaches bare callables and mutates the underlying
-    position out-of-band must call :meth:`update_position` for moves that
-    bring a radio *into* someone's range; stale positions can only produce
-    false candidates (filtered by the distance check), never misses, for
-    radios that move away.
+    This class is the plain scalar resolution: every completion walks
+    every attached radio in ascending node-id order, polls its live
+    position and distance-checks it.  It is the reference the tests
+    compare against; experiments run on
+    :class:`repro.radio.vectorized.VectorizedMedium`, which extends it
+    and is pinned bit-for-bit identical (events, order, stats, RNG
+    draws) by ``tests/test_medium_grid_equivalence.py`` and
+    ``tests/test_vectorized_medium.py``.
     """
-
-    #: Class-level default for the ``use_grid`` constructor argument —
-    #: lets tests flip every medium in a run to the brute-force scan.
-    DEFAULT_USE_GRID = True
 
     def __init__(self, sim: Simulator, rng: RandomStream,
                  propagation: Optional[PropagationModel] = None,
                  bitrate_bps: float = 1_000_000.0,
-                 preamble_s: float = 192e-6,
-                 use_grid: Optional[bool] = None):
+                 preamble_s: float = 192e-6):
         if bitrate_bps <= 0:
             raise ValueError(f"bitrate must be positive: {bitrate_bps}")
         self._sim = sim
@@ -146,9 +132,6 @@ class Medium:
         self._transmissions: List[Transmission] = []
         self.stats = MediumStats()
         self._observers: List[MediumObserver] = []
-        self._use_grid = (Medium.DEFAULT_USE_GRID if use_grid is None
-                          else use_grid)
-        self._grid: Optional[SpatialHashGrid] = None
 
     # ------------------------------------------------------------------
     # Attachment
@@ -163,53 +146,24 @@ class Medium:
             raise ValueError(f"tx_range must be positive: {tx_range}")
         self._radios[node_id] = _AttachedRadio(
             node_id, get_position, tx_range, handler)
-        if self._use_grid:
-            reach = self._propagation.max_reach(tx_range)
-            if self._grid is None:
-                self._grid = SpatialHashGrid(reach)
-            elif reach > self._grid.cell_size:
-                # Cell size must stay >= every radio's reach so a disk
-                # query touches at most a 3x3 cell block; grow by rebuild.
-                prof = profiling.ACTIVE
-                if prof is None:
-                    self._grid = self._grid.rebuilt(reach)
-                else:
-                    start = perf_counter()
-                    self._grid = self._grid.rebuilt(reach)
-                    prof.add("medium.grid_rebuild", perf_counter() - start)
-            self._grid.insert(node_id, get_position())
 
     def detach(self, node_id: int) -> None:
         self._radios.pop(node_id, None)
-        if self._grid is not None:
-            self._grid.remove(node_id)
 
     def update_position(self, node_id: int, position: Position) -> None:
-        """Re-index a radio after a move (mobility models call this via
-        ``Radio.position``).  Unknown ids are ignored so detach races and
-        pre-attach construction orders stay harmless."""
-        if self._grid is not None and node_id in self._radios:
-            self._grid.move(node_id, position)
+        """A radio moved (mobility models call this via
+        ``Radio.position``).  The scalar scan polls ``get_position`` at
+        every use, so it has nothing to update; array-backed subclasses
+        override this."""
 
     def set_enabled(self, node_id: int, enabled: bool) -> None:
         """Power a radio on/off (crashed nodes neither send nor receive)."""
         self._radios[node_id].enabled = enabled
 
     def set_tx_range(self, node_id: int, tx_range: float) -> None:
-        """Change a radio's transmission range (transmit-power faults).
-
-        The new reach must not exceed the spatial grid's cell size (set
-        from the largest attach-time reach), so only attach-time-or-smaller
-        ranges are accepted while a grid is active.
-        """
+        """Change a radio's transmission range (transmit-power faults)."""
         if tx_range <= 0:
             raise ValueError(f"tx_range must be positive: {tx_range}")
-        if self._grid is not None:
-            reach = self._propagation.max_reach(tx_range)
-            if reach > self._grid.cell_size:
-                raise ValueError(
-                    f"tx_range {tx_range} reaches beyond the spatial "
-                    f"grid's cell size {self._grid.cell_size}")
         self._radios[node_id].tx_range = tx_range
 
     def add_observer(self, observer: MediumObserver) -> None:
@@ -235,7 +189,6 @@ class Medium:
         radio = self._radios[node_id]
         now = self._sim.now
         position = radio.get_position()
-        self.update_position(node_id, position)
         for tx in self._transmissions:
             if tx.end <= now:
                 continue
@@ -261,11 +214,9 @@ class Medium:
                 sender=node_id, origin=radio.get_position(), start=now,
                 end=now + self.airtime(packet), packet=packet,
                 tx_range=radio.tx_range, completed=True)
-        origin = radio.get_position()
-        self.update_position(node_id, origin)
         tx = Transmission(
             sender=node_id,
-            origin=origin,
+            origin=radio.get_position(),
             start=now,
             end=now + self.airtime(packet),
             packet=packet,
@@ -300,40 +251,29 @@ class Medium:
     def _complete_body(self, tx: Transmission) -> None:
         tx.completed = True
         radios = self._radios
-        for node_id in self._candidate_ids(tx):
+        for node_id in self._candidate_ids():
             radio = radios.get(node_id)
             if radio is None or node_id == tx.sender or not radio.enabled:
                 continue
             self._resolve_reception(tx, radio)
         self._prune()
 
-    def _candidate_ids(self, tx: Transmission) -> Sequence[int]:
-        """Node ids that could possibly hear ``tx``, ascending.
-
-        Grid path: a superset query around the transmission origin (the
-        per-candidate distance check in :meth:`_resolve_reception` rejects
-        false positives before any RNG draw).  Brute-force path: every
-        attached radio.  Both are sorted by node id so delivery order is
-        independent of attach order and of the indexing strategy.
-        """
+    def _candidate_ids(self) -> List[int]:
+        """Node ids that could possibly hear a transmission: every
+        attached radio, sorted so delivery order is independent of attach
+        order (:meth:`_resolve_reception` distance-checks each one before
+        any RNG draw)."""
         prof = profiling.ACTIVE
         if prof is None:
-            return self._candidate_ids_body(tx)
+            return sorted(self._radios)
         start = perf_counter()
-        out = self._candidate_ids_body(tx)
+        out = sorted(self._radios)
         prof.add("medium.candidates", perf_counter() - start)
         return out
-
-    def _candidate_ids_body(self, tx: Transmission) -> Sequence[int]:
-        if self._grid is not None:
-            return self._grid.candidates(
-                tx.origin, self._propagation.max_reach(tx.tx_range))
-        return sorted(self._radios)
 
     def _resolve_reception(self, tx: Transmission,
                            radio: _AttachedRadio) -> None:
         position = radio.get_position()
-        self.update_position(radio.node_id, position)
         distance = tx.origin.distance_to(position)
         if distance >= self._propagation.max_reach(tx.tx_range):
             return

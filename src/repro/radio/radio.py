@@ -52,7 +52,7 @@ class Radio:
     @position.setter
     def position(self, value: Position) -> None:
         self._position = value
-        # Keep the medium's spatial index in sync: every mobility model
+        # Keep the medium's position arrays in sync: every mobility model
         # moves nodes through this setter.
         self._medium.update_position(self._node_id, value)
 
@@ -102,9 +102,8 @@ class Radio:
         """Scale the transmission range to ``factor`` of its nominal value
         (a sick amplifier / low-battery transmit-power drop).
 
-        Only reductions are allowed (``0 < factor <= 1``): growing beyond
-        the attach-time range could exceed the medium's spatial-index cell
-        size.  ``factor=1.0`` restores the nominal range.
+        Only reductions are allowed (``0 < factor <= 1``); ``factor=1.0``
+        restores the nominal range.
         """
         if not 0.0 < factor <= 1.0:
             raise ValueError(f"factor must be in (0, 1]: {factor}")

@@ -3,15 +3,16 @@
 :class:`VectorizedMedium` keeps every attached radio's position and
 power state in flat numpy arrays and resolves each transmission's
 reception outcomes with bulk mask arithmetic instead of per-radio Python
-loops: one distance computation over all n radios, one half-duplex mask
-from the overlapping transmission set, and one interference mask per
-overlapping transmission.  At n=2000 this turns the O(n) per-completion
-candidate walk into a handful of numpy kernels.
+loops: one distance computation over all n radios, then one
+``(overlapping transmissions x candidates)`` broadcast for half-duplex
+and interference.  A completion is a fixed handful of numpy calls
+whatever n, the degree, or the number of live transmissions is.
 
 Pinned equivalence
 ------------------
-The vectorized medium is **bit-for-bit identical** to the scalar grid
-and brute-force media (``tests/test_medium_grid_equivalence.py`` and
+The vectorized medium is **bit-for-bit identical** to the scalar
+:class:`~repro.radio.medium.Medium` it extends
+(``tests/test_medium_grid_equivalence.py`` and
 ``tests/test_vectorized_medium.py`` pin this):
 
 * the in-reach test reproduces the scalar ``math.hypot(dx, dy) < reach``
@@ -27,16 +28,16 @@ and brute-force media (``tests/test_medium_grid_equivalence.py`` and
   through the same scalar ``PropagationModel.reception_succeeds`` call
   (same RNG stream, same draw order), so stats, observer callbacks,
   obs spans, delivery order, and every downstream protocol event match
-  the scalar media exactly.
+  the scalar medium exactly.
 
 Position contract
 -----------------
 The arrays are authoritative: every move must arrive through
 :meth:`update_position` (``Radio``'s position setter — i.e. every
-mobility model — already does this).  The scalar media additionally
-re-poll ``get_position`` per candidate, which forgives out-of-band
-position mutation; the vectorized medium does not, and code mutating
-positions behind the medium's back is outside the equivalence contract.
+mobility model — already does this).  The scalar medium re-polls
+``get_position`` per candidate, which forgives out-of-band position
+mutation; the vectorized medium does not, and code mutating positions
+behind the medium's back is outside the equivalence contract.
 
 Checkpointing: the arrays pickle with the medium (trimmed to the live
 radio count so snapshot bytes never depend on allocator history), so
@@ -72,19 +73,16 @@ _INITIAL_CAPACITY = 64
 
 
 class VectorizedMedium(Medium):
-    """Medium backend resolving receptions with numpy mask arithmetic.
-
-    Drop-in pinned-equivalent replacement for :class:`Medium` — same
-    constructor (minus ``use_grid``: there is no grid to index), same
-    attach/transmit/observer API, same stats, same event stream.
+    """The production medium: receptions resolved with numpy mask
+    arithmetic.  Same constructor, attach/transmit/observer API, stats
+    and event stream as the scalar :class:`Medium` it is pinned to.
     """
 
     def __init__(self, sim: Simulator, rng: RandomStream,
                  propagation: Optional[PropagationModel] = None,
                  bitrate_bps: float = 1_000_000.0,
                  preamble_s: float = 192e-6):
-        super().__init__(sim, rng, propagation, bitrate_bps, preamble_s,
-                         use_grid=False)
+        super().__init__(sim, rng, propagation, bitrate_bps, preamble_s)
         self._count = 0
         self._capacity = _INITIAL_CAPACITY
         self._ids = np.zeros(_INITIAL_CAPACITY, dtype=np.int64)
@@ -263,27 +261,42 @@ class VectorizedMedium(Medium):
         if not self._ids_sorted:
             order = order[np.argsort(ids[order])]
         # Half-duplex and interference only matter at the (typically
-        # degree-sized) candidate set, so gather once and evaluate every
-        # overlapping transmission against the gathered slice instead of
-        # all n slots.
+        # degree-sized) candidate set, so gather it once and evaluate
+        # every overlapping transmission against it in one (m x k)
+        # broadcast: the numpy call count must not grow with m, because
+        # on a large sparse field dozens of transmissions are live per
+        # completion (spatial reuse).
         cand_ids = ids[order]
-        half = np.zeros(order.size, dtype=bool)
-        interfered = np.zeros(order.size, dtype=bool)
         overlapping = [other for other in self._transmissions
                        if other is not tx and other.overlaps(tx)]
-        if overlapping:
-            cand_xs = xs[order]
-            cand_ys = ys[order]
-            for other in overlapping:
-                other_reach = self._propagation.max_reach(other.tx_range)
-                dxo = other.origin.x - cand_xs
-                dyo = other.origin.y - cand_ys
-                mask = dxo * dxo + dyo * dyo < other_reach * other_reach
-                # A node's own transmission half-duplexes it, and does
-                # not interfere at itself.
-                own = cand_ids == other.sender
-                half |= own
-                interfered |= mask & ~own
+        m = len(overlapping)
+        if m:
+            max_reach = self._propagation.max_reach
+            senders = np.fromiter(
+                (other.sender for other in overlapping), np.int64, m)
+            oxs = np.fromiter(
+                (other.origin.x for other in overlapping), np.float64, m)
+            oys = np.fromiter(
+                (other.origin.y for other in overlapping), np.float64, m)
+            reaches = np.fromiter(
+                (max_reach(other.tx_range) for other in overlapping),
+                np.float64, m)
+            # ``Position.within`` elementwise: dx*dx + dy*dy < reach*reach.
+            dxo = oxs[:, None] - xs[order]
+            dyo = oys[:, None] - ys[order]
+            dxo *= dxo
+            dyo *= dyo
+            dxo += dyo
+            reaches *= reaches
+            mask = dxo < reaches[:, None]
+            # A node's own transmission half-duplexes it, and does not
+            # interfere at itself.
+            own = senders[:, None] == cand_ids
+            half = own.any(0)
+            mask &= ~own
+            interfered = mask.any(0)
+        else:
+            half = interfered = np.zeros(order.size, dtype=bool)
         # ``tolist()`` materialises native Python ints/bools in one C
         # pass — far cheaper than per-element ``int()``/``bool()`` at
         # degree ~100+.

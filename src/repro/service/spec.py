@@ -27,7 +27,6 @@ from ..core.config import ProtocolConfig
 from ..core.node import NodeStackConfig
 from ..obs import ObsConfig
 from ..sim.experiment import (
-    MEDIA,
     SCHEMES,
     TIERS,
     ExperimentConfig,
@@ -54,6 +53,10 @@ SWEEP_PARAMS = ("n", "mute") + tuple(_RIVAL_PARAMS)
 _MOBILITY = ("static", "waypoint", "walk", "gaussmarkov")
 _CHANNELS = ("disk", "shadowing")
 _RULES = ("cds", "mis+b")
+#: Values of the retired ``medium`` spec key.  ``to_dict`` always wrote
+#: the key, so every job file queued before its removal carries one;
+#: they are accepted and discarded (the backends were bit-identical).
+_RETIRED_MEDIA = ("grid", "brute", "vectorized")
 
 
 def _require(condition: bool, message: str) -> None:
@@ -100,7 +103,6 @@ class SweepSpec:
     gossip_period: float = 1.0
     scheme: str = "hmac"
     tier: str = "packet"
-    medium: str = "grid"
     observe: bool = False
     # Rival-protocol knob overrides (fixed, as opposed to swept).
     paths_required: Optional[int] = None
@@ -128,7 +130,6 @@ class SweepSpec:
         _require(self.rule in _RULES, f"unknown rule {self.rule!r}")
         _require(self.scheme in SCHEMES, f"unknown scheme {self.scheme!r}")
         _require(self.tier in TIERS, f"unknown tier {self.tier!r}")
-        _require(self.medium in MEDIA, f"unknown medium {self.medium!r}")
 
     # ------------------------------------------------------------------
     @classmethod
@@ -152,9 +153,12 @@ class SweepSpec:
             kwargs["values"] = _int_list(payload.pop("values"), "values")
         if "seeds" in payload:
             kwargs["seeds"] = _int_list(payload.pop("seeds"), "seeds")
+        if "medium" in payload:
+            medium = payload.pop("medium")
+            _require(medium in _RETIRED_MEDIA, f"unknown medium {medium!r}")
         simple = ("param", "n", "mute", "tx_range", "degree", "mobility",
                   "channel", "messages", "interval", "warmup", "drain",
-                  "rule", "gossip_period", "scheme", "tier", "medium",
+                  "rule", "gossip_period", "scheme", "tier",
                   "observe", "paths_required", "suppression_threshold",
                   "cpa_k")
         for name in simple:
@@ -187,8 +191,7 @@ class SweepSpec:
             "interval": self.interval, "warmup": self.warmup,
             "drain": self.drain, "rule": self.rule,
             "gossip_period": self.gossip_period, "scheme": self.scheme,
-            "tier": self.tier, "medium": self.medium,
-            "observe": self.observe,
+            "tier": self.tier, "observe": self.observe,
         }
         if self.param is not None:
             out["param"] = self.param
@@ -239,7 +242,6 @@ class SweepSpec:
                 message_interval=self.interval,
                 warmup=self.warmup, drain=self.drain,
                 signature_scheme=self.scheme, tier=self.tier,
-                medium=self.medium,
                 observe=ObsConfig() if self.observe else None,
                 rivals=rivals)
         except ValueError as exc:

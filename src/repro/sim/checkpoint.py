@@ -54,7 +54,9 @@ __all__ = [
 #: in the world so resume continues their streams).
 #: v3: ``Event`` records carry a ``transient`` slab flag and ``Simulator``
 #: pickles exclude the slab free list; pre-slab snapshots are refused.
-CHECKPOINT_VERSION = 3
+#: v4: the spatial-hash-grid medium is gone (``repro.radio.grid`` no
+#: longer imports), so snapshots that may pickle one are refused.
+CHECKPOINT_VERSION = 4
 
 
 class CheckpointError(RuntimeError):
@@ -97,8 +99,8 @@ def _jsonable(value: Any) -> Any:
 
 #: Fields excluded from the key unconditionally.  These are *execution*
 #: knobs: they change how a run executes — snapshot cadence, what it
-#: records about itself, or which (pinned-equivalent) candidate-indexing
-#: backend resolves receptions — never what it computes, so every setting
+#: records about itself, or which (pinned-equivalent) medium backend
+#: resolves receptions — never what it computes, so every setting
 #: must land on the same campaign record key.
 _EXECUTION_FIELDS = ("checkpoint", "observe", "medium")
 
@@ -115,7 +117,7 @@ def config_key(config: Any) -> str:
     Execution knobs (``checkpoint``, ``observe``, ``medium``) are
     excluded: how often a run snapshots itself, what it records about
     itself, or which equivalent medium backend it runs on does not change
-    what it simulates, so a checkpointed, observed, or vectorized run
+    what it simulates, so a checkpointed, observed, or scalar-medium run
     lands on the same record key as the plain run it replaces.  Newer
     semantic fields (``tier``, ``rivals``) are elided at their defaults
     so pre-existing keys stay stable.

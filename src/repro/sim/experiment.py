@@ -102,12 +102,11 @@ PROTOCOLS = ("byzcast", "flooding", "overlay_only", "multi_overlay")
 
 SCHEMES = ("hmac", "dsa")
 
-#: Medium backends.  All three are pinned bit-for-bit equivalent
-#: (``tests/test_medium_grid_equivalence.py``), so the choice is an
-#: execution knob: "grid" (scalar + spatial hash), "brute" (scalar
-#: all-radios scan), "vectorized" (numpy mask arithmetic — the fast path
-#: at n >= ~500).
-MEDIA = ("grid", "brute", "vectorized")
+#: Medium backends: "vectorized" (numpy mask arithmetic) is what
+#: experiments run on; "brute" (the scalar all-radios scan) is the
+#: reference the tests pin it bit-for-bit against
+#: (``tests/test_medium_grid_equivalence.py``).
+MEDIA = ("vectorized", "brute")
 
 #: Simulation tiers: "packet" runs the discrete-event simulator;
 #: "fluid" evaluates the calibrated mean-field model
@@ -186,10 +185,10 @@ class ExperimentConfig:
     #: does without changing what the run does.  The result then carries
     #: lifecycle spans and virtual-time metric series in ``trace``.
     observe: Optional[ObsConfig] = None
-    #: Medium backend (one of :data:`MEDIA`).  All backends are pinned
+    #: Medium backend (one of :data:`MEDIA`).  The two are pinned
     #: bit-for-bit equivalent, so this is an execution knob excluded from
-    #: the campaign content hash — pick "vectorized" for large n.
-    medium: str = "grid"
+    #: the campaign content hash; "brute" exists for the tests' oracle leg.
+    medium: str = "vectorized"
     #: Simulation tier (one of :data:`TIERS`).  "fluid" swaps the
     #: discrete-event run for the calibrated mean-field model — a
     #: different (approximate) computation, so non-default tiers get
@@ -752,18 +751,11 @@ def _positions(scenario: ScenarioConfig, streams: StreamFactory,
 
 def _make_medium(config: ExperimentConfig, sim: Simulator,
                  streams: StreamFactory, propagation) -> Medium:
-    """Construct the configured medium backend (same RNG stream for all
-    three, so switching backends never desynchronises a run)."""
-    scenario = config.scenario
-    rng = streams.stream("medium")
-    if config.medium == "vectorized":
-        return VectorizedMedium(sim, rng, propagation,
-                                bitrate_bps=scenario.bitrate_bps)
-    # "grid" passes use_grid=None so Medium.DEFAULT_USE_GRID (which the
-    # equivalence tests monkeypatch globally) stays authoritative.
-    use_grid = None if config.medium == "grid" else False
-    return Medium(sim, rng, propagation, bitrate_bps=scenario.bitrate_bps,
-                  use_grid=use_grid)
+    """Construct the configured medium backend (same RNG stream for
+    both, so switching backends never desynchronises a run)."""
+    backend = VectorizedMedium if config.medium == "vectorized" else Medium
+    return backend(sim, streams.stream("medium"), propagation,
+                   bitrate_bps=config.scenario.bitrate_bps)
 
 
 def _propagation(scenario: ScenarioConfig):

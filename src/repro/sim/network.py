@@ -36,6 +36,7 @@ from ..radio.energy import EnergyModel
 from ..radio.geometry import Position
 from ..radio.medium import Medium
 from ..radio.propagation import PropagationModel
+from ..radio.vectorized import VectorizedMedium
 from ..tracing.recorder import TraceRecorder
 
 __all__ = ["NetworkBuilder", "Network"]
@@ -166,8 +167,9 @@ class NetworkBuilder:
                 raise ValueError(f"behavior for unknown node {node_id}")
         sim = Simulator()
         streams = StreamFactory(self._seed)
-        medium = Medium(sim, streams.stream("medium"),
-                        self._propagation, bitrate_bps=self._bitrate)
+        medium = VectorizedMedium(sim, streams.stream("medium"),
+                                  self._propagation,
+                                  bitrate_bps=self._bitrate)
         scheme = self._scheme or HmacScheme(
             seed=str(self._seed).encode())
         directory = KeyDirectory(scheme)

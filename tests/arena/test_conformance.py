@@ -9,8 +9,8 @@ this whole contract for free:
   payloads.
 * **Liveness**: full delivery with ``mute_tolerance(n)`` Byzantine-mute
   nodes on topologies whose correct subgraph supports it.
-* **Determinism matrix**: repeat runs, serial vs worker pool, grid vs
-  brute-force medium indexing, interrupted-and-resumed checkpoints —
+* **Determinism matrix**: repeat runs, serial vs worker pool, vectorized
+  vs scalar medium, interrupted-and-resumed checkpoints —
   all byte-identical at the campaign-record level.
 * **Chaos**: a crash/restart/mute timeline applies cleanly (the adapter
   honours the controller's node contract) and stays deterministic.
@@ -140,16 +140,9 @@ def test_worker_pool_matches_serial(cached_run):
 
 
 def test_grid_and_brute_medium_agree(fault_free_run):
-    from repro.radio.medium import Medium
-
     config, result = fault_free_run
-    saved = Medium.DEFAULT_USE_GRID
-    Medium.DEFAULT_USE_GRID = not saved
-    try:
-        flipped = run_experiment(config)
-    finally:
-        Medium.DEFAULT_USE_GRID = saved
-    assert canonical(config, flipped) == canonical(config, result)
+    scalar = run_experiment(replace(config, medium="brute"))
+    assert canonical(config, scalar) == canonical(config, result)
 
 
 def test_checkpoint_resume_matches_uninterrupted(fault_free_run, tmp_path):

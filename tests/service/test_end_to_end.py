@@ -173,6 +173,26 @@ class TestCheckpointResume:
         assert finished.cache_hits == 4
         assert finished.executed == 2
 
+    def test_job_queued_before_medium_key_removal_runs_to_done(self,
+                                                               tmp_path):
+        """``to_dict`` used to write ``"medium": "grid"`` into every job
+        file; a queue directory holding such a job must still drain."""
+        directory = str(tmp_path / "svc")
+        job = CampaignService(directory).submit(SPEC)
+        path = os.path.join(directory, "jobs", f"{job.id}.json")
+        with open(path) as handle:
+            stored = json.load(handle)
+        stored["spec"]["medium"] = "grid"
+        with open(path, "w") as handle:
+            json.dump(stored, handle)
+
+        upgraded = CampaignService(directory)
+        assert upgraded.queue.get(job.id).spec["medium"] == "grid"
+        assert upgraded.run_until_idle() == 1
+        finished = upgraded.queue.get(job.id)
+        assert (finished.state, finished.error) == ("done", None)
+        assert finished.executed == 4
+
 
 class TestFailureAndCancel:
     def test_unsatisfiable_spec_fails_cleanly(self, service):

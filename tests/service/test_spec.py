@@ -55,6 +55,18 @@ class TestValidation:
         with pytest.raises(SpecError, match="unknown tier"):
             SweepSpec.from_dict({"tier": "quantum"})
 
+    @pytest.mark.parametrize("medium", ["grid", "brute", "vectorized"])
+    def test_retired_medium_key_is_accepted_and_dropped(self, medium):
+        # Every job file written before the key's removal carries one.
+        spec = SweepSpec.from_dict({"n": 12, "medium": medium})
+        assert spec == SweepSpec.from_dict({"n": 12})
+        assert "medium" not in spec.to_dict()
+
+    @pytest.mark.parametrize("medium", ["warp", None, 3, ["grid"]])
+    def test_unknown_medium_value_still_rejected(self, medium):
+        with pytest.raises(SpecError, match="unknown medium"):
+            SweepSpec.from_dict({"medium": medium})
+
     def test_invalid_scenario_surfaces_as_spec_error(self):
         spec = SweepSpec.from_dict({"param": "n", "values": [1]})
         with pytest.raises(SpecError):

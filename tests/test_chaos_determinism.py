@@ -2,12 +2,13 @@
 
 The contract under test: a seeded experiment with an arbitrary fault
 schedule produces byte-identical result records on every invocation —
-serial or pooled across worker processes, brute-force or spatial-grid
-medium indexing.  Schedules are drawn from the hypothesis generators in
+serial or pooled across worker processes, vectorized or scalar medium.
+Schedules are drawn from the hypothesis generators in
 :mod:`tests.helpers`, so every fault action is exercised in arbitrary
 combinations and orders.
 """
 
+import dataclasses
 import json
 
 import pytest
@@ -17,7 +18,6 @@ from hypothesis import strategies as st
 from repro.chaos import FaultEvent, FaultSchedule, OracleConfig
 from repro.core.config import ProtocolConfig
 from repro.core.node import NodeStackConfig
-from repro.radio.medium import Medium
 from repro.sim import ExperimentConfig, run_experiment, run_many
 from repro.sim.campaign import result_to_record
 from repro.workloads.scenarios import ScenarioConfig
@@ -44,6 +44,11 @@ def small_config(schedule, seed, stack=None):
         chaos=schedule, oracle=OracleConfig(),
         warmup=4.0, message_count=2, message_interval=1.5, drain=6.0,
         **extra)
+
+
+def on_scalar_medium(config):
+    """The same run on the scalar reference medium (the oracle leg)."""
+    return dataclasses.replace(config, medium="brute")
 
 
 def canonical(config, result):
@@ -82,15 +87,8 @@ def test_worker_pool_matches_serial(schedule, seed):
        seed=st.integers(min_value=1, max_value=10_000))
 def test_grid_medium_matches_brute_force(schedule, seed):
     config = small_config(schedule, seed)
-    default = Medium.DEFAULT_USE_GRID
-    try:
-        Medium.DEFAULT_USE_GRID = True
-        gridded = canonical(config, run_experiment(config))
-        Medium.DEFAULT_USE_GRID = False
-        brute = canonical(config, run_experiment(config))
-    finally:
-        Medium.DEFAULT_USE_GRID = default
-    assert gridded == brute
+    assert canonical(config, run_experiment(config)) \
+        == canonical(config, run_experiment(on_scalar_medium(config)))
 
 
 @settings(max_examples=4, **RELAXED)
@@ -118,18 +116,11 @@ def test_cache_toggle_preserves_records(schedule, seed):
 @given(schedule=fault_schedules(N, horizon=5.0, max_events=4),
        seed=st.integers(min_value=1, max_value=10_000))
 def test_grid_vs_brute_with_caches_off(schedule, seed):
-    """The existing grid-vs-brute test runs with caches on (the
+    """The existing vectorized-vs-scalar test runs with caches on (the
     default); this one pins the same equivalence on the uncached path."""
     config = small_config(schedule, seed, stack=CACHES_OFF)
-    default = Medium.DEFAULT_USE_GRID
-    try:
-        Medium.DEFAULT_USE_GRID = True
-        gridded = canonical(config, run_experiment(config))
-        Medium.DEFAULT_USE_GRID = False
-        brute = canonical(config, run_experiment(config))
-    finally:
-        Medium.DEFAULT_USE_GRID = default
-    assert gridded == brute
+    assert canonical(config, run_experiment(config)) \
+        == canonical(config, run_experiment(on_scalar_medium(config)))
 
 
 def test_worker_pool_matches_serial_with_cache_matrix():
@@ -192,19 +183,13 @@ def test_observed_traces_identical_across_worker_counts():
 
 
 def test_observed_traces_identical_grid_vs_brute():
-    """Grid vs brute-force medium indexing: identical span streams —
-    including the radio-level collision/loss spans the media emit."""
+    """Vectorized vs scalar medium: identical span streams — including
+    the radio-level collision/loss spans the media emit."""
     config = observed(small_config(OBSERVED_SCHEDULE, 47))
-    default = Medium.DEFAULT_USE_GRID
-    try:
-        Medium.DEFAULT_USE_GRID = True
-        gridded = run_experiment(config)
-        Medium.DEFAULT_USE_GRID = False
-        brute = run_experiment(config)
-    finally:
-        Medium.DEFAULT_USE_GRID = default
-    assert trace_bytes(gridded) == trace_bytes(brute)
-    assert canonical(config, gridded) == canonical(config, brute)
+    vectorized = run_experiment(config)
+    scalar = run_experiment(on_scalar_medium(config))
+    assert trace_bytes(vectorized) == trace_bytes(scalar)
+    assert canonical(config, vectorized) == canonical(config, scalar)
 
 
 def test_observation_does_not_perturb_the_run():

@@ -4,7 +4,7 @@ The contract under test (see :mod:`repro.sim.checkpoint`): a run that is
 snapshotted — and a run resumed from any such snapshot — produces a final
 campaign record byte-identical to an uninterrupted run's, modulo the
 record's config block (which carries the checkpoint settings themselves).
-Covered here across both medium index implementations, with and without a
+Covered here across both medium implementations, with and without a
 chaos schedule, at arbitrary interruption points, serially and across a
 worker pool, plus the failure paths: stale format versions, corrupt
 files, and a SIGTERM-killed campaign worker picked up by the next run.
@@ -17,12 +17,12 @@ import signal
 import subprocess
 import sys
 import time
+import types
 from dataclasses import replace
 
 import pytest
 
 from repro.chaos import FaultEvent, FaultSchedule, OracleConfig
-from repro.radio.medium import Medium
 from repro.sim import (
     Campaign,
     CheckpointConfig,
@@ -43,6 +43,7 @@ from repro.sim.checkpoint import (
     checkpoint_path,
     describe_checkpoint,
 )
+from repro.sim.experiment import MEDIA
 from repro.tracing import TraceRecorder
 from repro.workloads.scenarios import AdversaryMix, ScenarioConfig
 
@@ -144,23 +145,18 @@ def test_resume_with_chaos_schedule(tmp_path):
 
 
 def test_resume_equivalence_on_both_media(tmp_path):
-    config = base_config(seed=7)
-    ck = replace(config, checkpoint=CheckpointConfig(
-        every=2.5, directory=str(tmp_path)))
     outcomes = {}
-    for use_grid in (True, False):
-        saved = Medium.DEFAULT_USE_GRID
-        Medium.DEFAULT_USE_GRID = use_grid
-        try:
-            baseline = canonical(config, run_experiment(config))
-            interrupt(ck, 7.3, str(tmp_path))
-            resumed = canonical(ck, run_experiment(ck))
-        finally:
-            Medium.DEFAULT_USE_GRID = saved
+    for medium in MEDIA:
+        config = replace(base_config(seed=7), medium=medium)
+        ck = replace(config, checkpoint=CheckpointConfig(
+            every=2.5, directory=str(tmp_path)))
+        baseline = canonical(config, run_experiment(config))
+        interrupt(ck, 7.3, str(tmp_path))
+        resumed = canonical(ck, run_experiment(ck))
         assert resumed == baseline
-        outcomes[use_grid] = resumed
-    # The two index implementations also agree with each other.
-    assert outcomes[True] == outcomes[False]
+        outcomes[medium] = resumed
+    # The two media also agree with each other.
+    assert len(set(outcomes.values())) == 1
 
 
 # ----------------------------------------------------------------------
@@ -239,6 +235,30 @@ def test_version_mismatch_is_refused_and_run_restarts(tmp_path):
         load_checkpoint(path)
     # run_experiment treats the stale snapshot as absent and still
     # produces the right answer from a fresh start.
+    assert canonical(ck, run_experiment(ck)) == baseline
+
+
+def test_snapshot_of_removed_class_is_refused_and_run_restarts(
+        tmp_path, monkeypatch):
+    """A snapshot written before ``repro.radio.grid`` was deleted may
+    pickle its index class: the old version number and the failed
+    import must both read as "no usable checkpoint", never a crash."""
+    config = base_config()
+    ck = replace(config, checkpoint=CheckpointConfig(
+        every=1.0, directory=str(tmp_path)))
+    baseline = canonical(config, run_experiment(config))
+
+    gone = types.ModuleType("repro.radio.grid")
+    gone.Index = type("Index", (), {"__module__": gone.__name__})
+    monkeypatch.setitem(sys.modules, gone.__name__, gone)
+    path = checkpoint_path(str(tmp_path), config_key(ck))
+    with open(path, "wb") as handle:
+        pickle.dump({"version": CHECKPOINT_VERSION - 1,
+                     "key": config_key(ck), "world": gone.Index()}, handle)
+    monkeypatch.delitem(sys.modules, gone.__name__)
+
+    with pytest.raises(CheckpointError, match="repro.radio.grid"):
+        load_checkpoint(path)
     assert canonical(ck, run_experiment(ck)) == baseline
 
 

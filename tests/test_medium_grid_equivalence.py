@@ -1,18 +1,19 @@
-"""Medium-backend equivalence suite: grid vs brute force vs vectorized.
+"""Medium-backend equivalence suite: vectorized vs the scalar scan.
 
-The spatial hash grid (`repro.radio.grid`) replaces the medium's
-all-radios scan with a cell query, and the vectorized medium
-(`repro.radio.vectorized`) replaces the per-radio resolution loop with
-numpy mask arithmetic.  Either is only an optimisation if it is
-*invisible*: every scenario must produce bit-for-bit identical physical
-events, stats, and RNG consumption on all three backends.  This suite
-pins that guarantee over seeded random placements, mobility traces, and
-collision-heavy workloads (> 20 scenarios total, each run three ways).
+The vectorized medium (`repro.radio.vectorized`) replaces the scalar
+medium's per-radio resolution loop with numpy mask arithmetic.  That is
+only an optimisation if it is *invisible*: every scenario must produce
+bit-for-bit identical physical events, stats, and RNG consumption on
+both backends.  This suite pins that guarantee over seeded random
+placements, mobility traces, and collision-heavy workloads (> 20
+scenarios total, each run both ways).
 
 The scenarios drive the medium directly (raw ``attach`` / ``transmit`` /
 ``update_position``) so the comparison covers the exact layers the
-backends changed; a final set of tests re-runs the full experiment stack
-on each backend and compares whole ``ExperimentResult`` objects.
+backends differ in; a final set of tests re-runs the full experiment
+stack on each backend and compares whole ``ExperimentResult`` objects.
+(The module and class names predate the removal of the spatial-hash
+grid, the third backend this suite once compared.)
 """
 
 import dataclasses
@@ -33,11 +34,7 @@ from repro.workloads.scenarios import AdversaryMix, ScenarioConfig
 SIDE = 600.0
 
 #: Constructor for each medium backend under test.
-MEDIUM_KINDS = {
-    "grid": lambda sim, rng, prop: Medium(sim, rng, prop, use_grid=True),
-    "brute": lambda sim, rng, prop: Medium(sim, rng, prop, use_grid=False),
-    "vectorized": lambda sim, rng, prop: VectorizedMedium(sim, rng, prop),
-}
+MEDIUM_KINDS = {"brute": Medium, "vectorized": VectorizedMedium}
 
 
 def _scenario_events(seed, n, *, heavy, mobile):
@@ -69,21 +66,15 @@ def _scenario_events(seed, n, *, heavy, mobile):
 
 def run_scenario(seed, medium_kind, *, n=30, heavy=False, mobile=False,
                  shadowing=False):
-    """Run one generated scenario; return (event log, stats).
-
-    ``medium_kind`` is a :data:`MEDIUM_KINDS` key, or (backwards
-    compatible) a bool selecting grid/brute.
-    """
-    if medium_kind is True:
-        medium_kind = "grid"
-    elif medium_kind is False:
-        medium_kind = "brute"
+    """Run one generated scenario on the :data:`MEDIUM_KINDS` backend
+    ``medium_kind``; return (event log, stats, RNG state)."""
     positions, ranges, transmissions, moves = _scenario_events(
         seed, n, heavy=heavy, mobile=mobile)
     sim = Simulator()
     propagation = (LogNormalShadowing(sigma=0.25, background_loss=0.05)
                    if shadowing else UnitDisk())
-    medium = MEDIUM_KINDS[medium_kind](sim, RandomStream(seed), propagation)
+    rng = RandomStream(seed)
+    medium = MEDIUM_KINDS[medium_kind](sim, rng, propagation)
     log = []
 
     class Recorder(MediumObserver):
@@ -115,17 +106,15 @@ def run_scenario(seed, medium_kind, *, n=30, heavy=False, mobile=False,
     for when, node_id, position in moves:
         sim.schedule_at(when, move, node_id, position)
     sim.run()
-    return log, medium.stats
+    return log, medium.stats, rng.getstate()
 
 
 def assert_equivalent(seed, **kwargs):
-    log_grid, stats_grid = run_scenario(seed, "grid", **kwargs)
-    for kind in ("brute", "vectorized"):
-        log_other, stats_other = run_scenario(seed, kind, **kwargs)
-        assert log_other == log_grid, kind
-        assert stats_other == stats_grid, kind
-    assert stats_grid.transmissions > 0
-    assert stats_grid.deliveries > 0
+    log, stats, rng_state = run_scenario(seed, "brute", **kwargs)
+    assert run_scenario(seed, "vectorized", **kwargs) \
+        == (log, stats, rng_state)
+    assert stats.transmissions > 0
+    assert stats.deliveries > 0
 
 
 class TestGridEquivalence:
@@ -141,7 +130,7 @@ class TestGridEquivalence:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_collision_heavy(self, seed):
-        log, stats = run_scenario(200 + seed, True, n=24, heavy=True)
+        _, stats, _ = run_scenario(200 + seed, "brute", n=24, heavy=True)
         assert stats.collisions + stats.half_duplex_losses > 0
         assert_equivalent(200 + seed, n=24, heavy=True)
 
@@ -151,61 +140,37 @@ class TestGridEquivalence:
         # candidate; a superset mismatch would desynchronise the stream.
         assert_equivalent(300 + seed, n=24, mobile=True, shadowing=True)
 
-    def test_grid_candidates_match_brute_force_after_range_filter(self):
-        positions, ranges, _, _ = _scenario_events(7, 40, heavy=False,
-                                                   mobile=False)
-        sim = Simulator()
-        medium = Medium(sim, RandomStream(7), UnitDisk(), use_grid=True)
-        for i in range(40):
-            medium.attach(i, (lambda i=i: positions[i]), ranges[i],
-                          lambda packet: None)
-        rng = random.Random(99)
-        for _ in range(50):
-            sender = rng.randrange(40)
-            origin = positions[sender]
-            reach = ranges[sender]
-            exact = sorted(i for i in range(40)
-                           if origin.within(positions[i], reach))
-            candidates = medium._grid.candidates(origin, reach)
-            assert set(candidates) >= set(exact)
-            assert candidates == sorted(candidates)
-            filtered = [i for i in candidates
-                        if origin.within(positions[i], reach)]
-            assert filtered == exact
-
 
 class TestExperimentLevelEquivalence:
-    """The full stack (MAC, protocol, mobility) with the grid globally
-    disabled must reproduce grid results exactly."""
+    """The full stack (MAC, protocol, mobility) on the scalar medium
+    must reproduce the vectorized medium's results exactly."""
 
     FAST = dict(message_count=2, message_interval=1.0, warmup=4.0,
                 drain=6.0)
 
-    def _run(self, monkeypatch, use_grid, **scenario_kwargs):
-        monkeypatch.setattr(Medium, "DEFAULT_USE_GRID", use_grid)
+    def _run(self, medium, **scenario_kwargs):
         config = ExperimentConfig(
             scenario=ScenarioConfig(n=14, seed=5, **scenario_kwargs),
-            **self.FAST)
+            medium=medium, **self.FAST)
         # Clear the wall-clock runtime block — the only result field
         # allowed to differ between the two medium implementations.
         return dataclasses.replace(run_experiment(config), runtime=None)
 
-    def test_static_experiment_identical(self, monkeypatch):
-        assert (self._run(monkeypatch, True)
-                == self._run(monkeypatch, False))
+    def _assert_identical(self, **scenario_kwargs):
+        assert (self._run("vectorized", **scenario_kwargs)
+                == self._run("brute", **scenario_kwargs))
 
-    def test_mobile_experiment_identical(self, monkeypatch):
-        kwargs = dict(mobility="waypoint", speed_max=8.0)
-        assert (self._run(monkeypatch, True, **kwargs)
-                == self._run(monkeypatch, False, **kwargs))
+    def test_static_experiment_identical(self):
+        self._assert_identical()
 
-    def test_adversarial_shadowing_experiment_identical(self, monkeypatch):
-        kwargs = dict(propagation="shadowing",
-                      adversaries=AdversaryMix.mute(2))
-        assert (self._run(monkeypatch, True, **kwargs)
-                == self._run(monkeypatch, False, **kwargs))
+    def test_mobile_experiment_identical(self):
+        self._assert_identical(mobility="waypoint", speed_max=8.0)
 
-    def test_results_are_comparable(self, monkeypatch):
-        result = self._run(monkeypatch, True)
+    def test_adversarial_shadowing_experiment_identical(self):
+        self._assert_identical(propagation="shadowing",
+                               adversaries=AdversaryMix.mute(2))
+
+    def test_results_are_comparable(self):
+        result = self._run("vectorized")
         assert dataclasses.is_dataclass(result)
         assert result.delivery_ratio > 0

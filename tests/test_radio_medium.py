@@ -9,6 +9,7 @@ from repro.radio.geometry import Position
 from repro.radio.medium import Medium, MediumObserver
 from repro.radio.packet import Packet
 from repro.radio.propagation import LogNormalShadowing, UnitDisk
+from repro.radio.vectorized import VectorizedMedium
 
 
 def make_medium(sim=None, **kwargs):
@@ -254,12 +255,11 @@ class TestOverlapSemantics:
 class TestDeliveryOrder:
     """Same-instant deliveries happen in ascending node-id order no
     matter in which order radios attached — the invariant that lets the
-    spatial grid replace the insertion-ordered dict scan."""
+    vectorized medium's slot arrays replace the dict scan."""
 
-    def run_with_attach_order(self, order, use_grid=True):
+    def run_with_attach_order(self, order, medium_class):
         sim = Simulator()
-        medium = Medium(sim, RandomStream(1), UnitDisk(),
-                        use_grid=use_grid)
+        medium = medium_class(sim, RandomStream(1), UnitDisk())
         inbox = []
         spots = {1: (0.0, 0.0), 2: (10.0, 0.0), 3: (20.0, 0.0),
                  4: (0.0, 10.0), 5: (0.0, 20.0)}
@@ -270,11 +270,13 @@ class TestDeliveryOrder:
         sim.run()
         return [r for r, _ in inbox]
 
-    @pytest.mark.parametrize("use_grid", [True, False])
+    @pytest.mark.parametrize("medium_class", [
+        pytest.param(Medium, id="scan"),
+        pytest.param(VectorizedMedium, id="vec")])
     def test_order_is_sorted_ids_regardless_of_attach_order(self,
-                                                            use_grid):
+                                                            medium_class):
         for order in ([1, 2, 3, 4, 5], [5, 4, 3, 2, 1], [3, 1, 5, 2, 4]):
-            assert (self.run_with_attach_order(order, use_grid)
+            assert (self.run_with_attach_order(order, medium_class)
                     == [2, 3, 4, 5])
 
 

@@ -1,9 +1,9 @@
 """Scale smoke suite (``-m scale``): the two tiers at their own scales.
 
-A packet-level n=2000 experiment on the vectorized medium, an n=5000
-world construction and a small packet-vs-fluid cross-validation — fast
-enough for CI, real enough to catch a broken fast path or a drifted
-calibration.  The full scale curves (n to 10^5) live in ``benchmarks/test_e12_extended_scale.py``.
+A packet-level n=2000 experiment, an n=5000 world construction and a
+small packet-vs-fluid cross-validation — fast enough for CI, real enough
+to catch a broken fast path or a drifted calibration.  The full scale
+curves (n to 10^5) live in ``benchmarks/test_e12_extended_scale.py``.
 """
 
 import pytest
@@ -20,7 +20,7 @@ pytestmark = pytest.mark.scale
 def test_vectorized_n2000_experiment():
     result = run_experiment(ExperimentConfig(
         scenario=ScenarioConfig(n=2000, seed=1),
-        protocol="flooding", medium="vectorized",
+        protocol="flooding",
         message_count=1, message_interval=1.0, warmup=2.0, drain=8.0))
     assert result.n == 2000
     assert result.delivery_ratio > 0.95
@@ -33,7 +33,7 @@ def test_n5000_world_builds_on_a_seed_that_needs_790_tries():
     # refused ("increase density or range") at the default degree 8.
     world = build_world(ExperimentConfig(
         scenario=ScenarioConfig(n=5000, seed=2),
-        protocol="flooding", medium="vectorized",
+        protocol="flooding",
         message_count=1, message_interval=1.0, warmup=2.0, drain=8.0))
     assert len(world.nodes) == 5000
     assert is_connected([node.position for node in world.nodes], 100.0)
@@ -42,8 +42,7 @@ def test_n5000_world_builds_on_a_seed_that_needs_790_tries():
 def test_fluid_cross_validation_stays_calibrated():
     config = ExperimentConfig(
         scenario=ScenarioConfig(n=80, seed=2), protocol="flooding",
-        medium="vectorized", message_count=2, message_interval=1.5,
-        warmup=6.0, drain=10.0)
+        message_count=2, message_interval=1.5, warmup=6.0, drain=10.0)
     rows = cross_validate(config, ns=(80, 160))
     assert [row["n"] for row in rows] == [80, 160]
     for row in rows:

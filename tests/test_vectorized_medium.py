@@ -1,13 +1,14 @@
-"""Property suite: the vectorized medium is pinned to the scalar media.
+"""Property suite: the vectorized medium is pinned to the scalar medium.
 
-``tests/test_medium_grid_equivalence.py`` pins three-way equivalence on
-a fixed set of seeded scenarios; this suite closes the generator gap
-with hypothesis — arbitrary placements, per-node tx ranges, mid-run
-position updates and power toggles, and knife-edge boundary distances —
-asserting bit-for-bit identical event logs (delivery *order* included)
-and ``MediumStats`` across grid / brute / vectorized, plus
-checkpoint/resume byte-identity for full experiments on the vectorized
-backend.
+``tests/test_medium_grid_equivalence.py`` pins the equivalence on a
+fixed set of seeded scenarios; this suite closes the generator gap with
+hypothesis — arbitrary placements, per-node tx ranges, mid-run position
+updates and power toggles, knife-edge boundary distances, and sparse
+fields with dozens of simultaneously live transmissions — asserting
+bit-for-bit identical event logs (delivery *order* included),
+``MediumStats`` and RNG state between the scalar ``Medium`` and
+``VectorizedMedium``, plus checkpoint/resume byte-identity for full
+experiments on the vectorized backend.
 """
 
 import dataclasses
@@ -26,17 +27,13 @@ from repro.radio.propagation import LogNormalShadowing, UnitDisk
 from repro.radio.vectorized import VectorizedMedium
 from repro.sim.checkpoint import config_key, load_checkpoint, \
     write_checkpoint
-from repro.sim.experiment import ExperimentConfig, build_world, \
+from repro.sim.experiment import MEDIA, ExperimentConfig, build_world, \
     finish_world, run_experiment
 from repro.workloads.scenarios import ScenarioConfig
 
 SIDE = 400.0
 
-MEDIUM_KINDS = {
-    "grid": lambda sim, rng, prop: Medium(sim, rng, prop, use_grid=True),
-    "brute": lambda sim, rng, prop: Medium(sim, rng, prop, use_grid=False),
-    "vectorized": lambda sim, rng, prop: VectorizedMedium(sim, rng, prop),
-}
+MEDIUM_KINDS = {"brute": Medium, "vectorized": VectorizedMedium}
 
 RELAXED = dict(deadline=None,
                suppress_health_check=[HealthCheck.too_slow,
@@ -44,6 +41,9 @@ RELAXED = dict(deadline=None,
 
 coord = st.floats(min_value=0.0, max_value=SIDE, allow_nan=False,
                   allow_infinity=False)
+#: Field wide enough that ~40 radios have a mean degree well under 8.
+sparse_coord = st.floats(min_value=0.0, max_value=10 * SIDE,
+                         allow_nan=False, allow_infinity=False)
 
 
 @st.composite
@@ -74,13 +74,60 @@ def scenario_plans(draw, *, with_power=True):
             "ranges": ranges, "events": events}
 
 
+def propagation_model(shadowing):
+    return (LogNormalShadowing(sigma=0.3, background_loss=0.05)
+            if shadowing else UnitDisk())
+
+
+def tx_event(when, node, size=100):
+    return (when, "tx", node, 0.0, 0.0, size, True)
+
+
+@st.composite
+def live_storm_plans(draw):
+    """A sparse field with >= 32 transmissions all on the air at once
+    (every airtime here exceeds 1.7 ms and every start falls within
+    0.5 ms), built around one transmission whose candidates exercise
+    each branch of the overlapping-set resolution under shadowing:
+
+    * node 0 transmits; nodes 1-3 are in its reach;
+    * node 1 transmits too (half-duplex loss at a candidate);
+    * node 4's reach just covers listener 2 (collision there), node 5's
+      just misses listener 3 (no interference from it);
+    * everyone else is scattered with mixed ranges and transmits as well.
+    """
+    n = draw(st.integers(min_value=36, max_value=48))
+    edge = draw(st.floats(min_value=1e-12, max_value=1e-4))
+    ranges = [draw(st.floats(min_value=40.0, max_value=180.0,
+                             allow_nan=False)) for _ in range(n)]
+    max_reach = propagation_model(True).max_reach
+    reach = [max_reach(r) for r in ranges]
+    bx, by = draw(coord), draw(coord)
+    positions = [
+        (bx, by),
+        (bx + 0.3 * reach[0], by),
+        (bx, by + 0.4 * reach[0]),
+        (bx, by - 0.4 * reach[0]),
+        (bx + reach[4] * (1.0 - edge), by + 0.4 * reach[0]),
+        (bx + reach[5] * (1.0 + edge), by - 0.4 * reach[0]),
+    ] + [(draw(sparse_coord), draw(sparse_coord)) for _ in range(6, n)]
+    start = st.floats(min_value=0.0, max_value=0.0005, allow_nan=False)
+    size = st.integers(min_value=200, max_value=400)
+    senders = [i for i in range(n) if i not in (2, 3)]
+    events = sorted(tx_event(draw(start), node, draw(size))
+                    for node in senders)
+    return {"n": n, "seed": draw(st.integers(min_value=0,
+                                             max_value=2**31)),
+            "positions": positions, "ranges": ranges, "events": events}
+
+
 def drive(plan, medium_kind, *, shadowing=False):
-    """Run one plan on one backend; return (event log, stats tuple)."""
+    """Run one plan on one backend; return (event log, stats, RNG
+    state)."""
     sim = Simulator()
-    propagation = (LogNormalShadowing(sigma=0.3, background_loss=0.05)
-                   if shadowing else UnitDisk())
-    medium = MEDIUM_KINDS[medium_kind](
-        sim, RandomStream(plan["seed"]), propagation)
+    rng = RandomStream(plan["seed"])
+    medium = MEDIUM_KINDS[medium_kind](sim, rng,
+                                       propagation_model(shadowing))
     positions = {i: Position(x, y)
                  for i, (x, y) in enumerate(plan["positions"])}
     log = []
@@ -114,7 +161,7 @@ def drive(plan, medium_kind, *, shadowing=False):
     for when, kind, node, x, y, size, flag in plan["events"]:
         sim.schedule_at(when, fire, kind, node, x, y, size, flag)
     sim.run()
-    return log, dataclasses.astuple(medium.stats)
+    return log, medium.stats, rng.getstate()
 
 
 class _FixedPosition:
@@ -132,19 +179,17 @@ def _drop(packet):
     pass
 
 
-def assert_three_way(plan, **kwargs):
-    log_grid, stats_grid = drive(plan, "grid", **kwargs)
-    for kind in ("brute", "vectorized"):
-        log, stats = drive(plan, kind, **kwargs)
-        assert log == log_grid, kind
-        assert stats == stats_grid, kind
+def assert_matches_scalar(plan, **kwargs):
+    outcome = drive(plan, "brute", **kwargs)
+    assert drive(plan, "vectorized", **kwargs) == outcome
+    return outcome
 
 
 class TestPropertyEquivalence:
     @settings(max_examples=40, **RELAXED)
     @given(plan=scenario_plans())
     def test_unit_disk_mixed_schedule(self, plan):
-        assert_three_way(plan)
+        assert_matches_scalar(plan)
 
     @settings(max_examples=25, **RELAXED)
     @given(plan=scenario_plans(with_power=False))
@@ -152,7 +197,7 @@ class TestPropertyEquivalence:
         # Shadowing samples the medium RNG per in-reach candidate: any
         # candidate-set or ordering mismatch desynchronises every
         # subsequent draw and snowballs through the log.
-        assert_three_way(plan, shadowing=True)
+        assert_matches_scalar(plan, shadowing=True)
 
     @settings(max_examples=40, **RELAXED)
     @given(distance_factor=st.floats(min_value=0.999999999,
@@ -171,7 +216,40 @@ class TestPropertyEquivalence:
             "ranges": [tx_range] * 3,
             "events": [(0.001, "tx", 0, 0.0, 0.0, 100, True)],
         }
-        assert_three_way(plan)
+        assert_matches_scalar(plan)
+
+    @settings(max_examples=25, **RELAXED)
+    @given(plan=live_storm_plans())
+    def test_many_live_transmissions_on_sparse_field(self, plan):
+        # Spatial reuse keeps dozens of transmissions overlapping each
+        # completion; they are resolved against the candidates in one
+        # (overlapping x candidates) broadcast.
+        assert len(plan["events"]) >= 32
+        _, stats, _ = assert_matches_scalar(plan, shadowing=True)
+        assert stats.half_duplex_losses >= 1   # node 1 missed node 0
+        assert stats.collisions >= 1           # node 4 jammed node 2
+
+    @pytest.mark.parametrize("shadowing", [False, True])
+    @pytest.mark.parametrize("senders, listeners, spacing", [
+        (1, 3, 5.0),        # nothing overlaps (m = 0), three candidates
+        (1, 0, 5.0),        # ... and no candidate at all
+        (2, 0, 5.0),        # one overlap, one candidate (its sender)
+        (33, 1, 1000.0),    # 32 overlaps out of reach, one candidate
+    ])
+    def test_degenerate_overlap_shapes(self, senders, listeners, spacing,
+                                       shadowing):
+        # Senders on a line ``spacing`` apart, silent listeners beside
+        # node 0; every airtime overlaps every other.
+        n = senders + listeners
+        plan = {
+            "n": n, "seed": 3,
+            "positions": [(spacing * i, 0.0) for i in range(senders)]
+            + [(0.0, 10.0 + i) for i in range(listeners)],
+            "ranges": [200.0] * n,
+            "events": [tx_event(0.001 + 1e-5 * i, i)
+                       for i in range(senders)],
+        }
+        assert_matches_scalar(plan, shadowing=shadowing)
 
 
 class TestVectorizedBookkeeping:
@@ -226,19 +304,9 @@ class TestExperimentAndCheckpoint:
         # between backends and between resumed/uninterrupted runs.
         return dataclasses.replace(result, runtime=None)
 
-    def test_experiment_matches_grid_backend(self):
-        grid = run_experiment(ExperimentConfig(
-            scenario=ScenarioConfig(n=14, seed=5), medium="grid",
-            **self.FAST))
-        vec = run_experiment(ExperimentConfig(
-            scenario=ScenarioConfig(n=14, seed=5), medium="vectorized",
-            **self.FAST))
-        assert self._sans_runtime(grid) == self._sans_runtime(vec)
-
     def test_checkpoint_resume_byte_identical(self, tmp_path):
         config = ExperimentConfig(
-            scenario=ScenarioConfig(n=12, seed=4), medium="vectorized",
-            **self.FAST)
+            scenario=ScenarioConfig(n=12, seed=4), **self.FAST)
         uninterrupted = run_experiment(config)
 
         world = build_world(config)
@@ -251,5 +319,5 @@ class TestExperimentAndCheckpoint:
     def test_medium_is_excluded_from_config_key(self):
         keys = {config_key(ExperimentConfig(
             scenario=ScenarioConfig(n=12, seed=3), medium=medium))
-            for medium in ("grid", "brute", "vectorized")}
+            for medium in MEDIA}
         assert len(keys) == 1
