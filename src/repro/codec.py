@@ -135,9 +135,56 @@ def encode(value: Any) -> bytes:
     return bytes(out)
 
 
+def _varint_size(value: int) -> int:
+    return (value.bit_length() + 6) // 7 or 1
+
+
+def _str_size(value: str) -> int:
+    length = len(value) if value.isascii() else len(value.encode("utf-8"))
+    return _varint_size(length) + length
+
+
+def _size_of(value: Any, depth: int) -> int:
+    # Mirrors _encode_into branch for branch; tests pin the two equal.
+    if depth > _MAX_DEPTH:
+        raise CodecError("value nests too deeply")
+    if value is None or value is True or value is False:
+        return 1
+    if isinstance(value, int):
+        return 1 + _varint_size(_zigzag(value))
+    if isinstance(value, float):
+        return 9
+    if isinstance(value, bytes):
+        return 1 + _varint_size(len(value)) + len(value)
+    if isinstance(value, str):
+        return 1 + _str_size(value)
+    if isinstance(value, (list, tuple)):
+        size = 1 + _varint_size(len(value))
+        for item in value:
+            size += _size_of(item, depth + 1)
+        return size
+    if isinstance(value, (set, frozenset)):
+        # Sorted only so that an unorderable set fails as it does in encode.
+        size = 1 + _varint_size(len(value))
+        for item in sorted(value):
+            size += _size_of(item, depth + 1)
+        return size
+    if isinstance(value, dict):
+        size = 1 + _varint_size(len(value))
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise CodecError(
+                    f"dict keys must be str, got {type(key).__name__}")
+            size += _str_size(key) + _size_of(item, depth + 1)
+        return size
+    raise CodecError(f"cannot encode {type(value).__name__}")
+
+
 def encoded_size(value: Any) -> int:
-    """``len(encode(value))`` without keeping the buffer."""
-    return len(encode(value))
+    """``len(encode(value))`` computed by walking the value: nothing is
+    serialized and no buffer is allocated.  Raises :class:`CodecError`
+    for the values :func:`encode` rejects."""
+    return _size_of(value, 0)
 
 
 # ----------------------------------------------------------------------

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Any, Dict, NamedTuple, Optional, Tuple
 
-from ..crypto.digest import encode_fields
+from ..crypto.digest import encode_fields, signed_bytes
 from ..crypto.keystore import KeyDirectory, Signer
 
 __all__ = [
@@ -46,22 +46,6 @@ DATA = "data"
 GOSSIP = "gossip"
 REQUEST_MSG = "request"
 FIND_MISSING_MSG = "find_missing"
-
-
-def _signed_bytes(message: Any) -> bytes:
-    """Canonical signed bytes of a message, memoized on the instance.
-
-    Messages are frozen, so their ``signed_fields`` never change; the
-    canonical encoding is computed once per object and reused by every
-    subsequent ``verify`` (a node re-verifies the same gossip entry on
-    every gossip period).  The memo is identity-keyed — it lives on the
-    instance — so it cannot leak across distinct messages.
-    """
-    cached = getattr(message, "_signed_cache", None)
-    if cached is None:
-        cached = encode_fields(message.signed_fields())
-        object.__setattr__(message, "_signed_cache", cached)
-    return cached
 
 
 class MessageId(NamedTuple):
@@ -103,7 +87,7 @@ class DataMessage:
 
     def verify(self, directory: KeyDirectory) -> bool:
         return directory.verify(self.msg_id.originator,
-                                _signed_bytes(self), self.signature,
+                                signed_bytes(self), self.signature,
                                 msg=self.msg_id)
 
     def with_ttl(self, ttl: int) -> "DataMessage":
@@ -156,7 +140,7 @@ class GossipMessage:
 
     def verify(self, directory: KeyDirectory) -> bool:
         return directory.verify(self.msg_id.originator,
-                                _signed_bytes(self), self.signature,
+                                signed_bytes(self), self.signature,
                                 msg=self.msg_id)
 
     @staticmethod
@@ -214,7 +198,7 @@ class RequestMessage:
         if not self.gossip.verify(directory):
             return False
         return directory.verify(self.requester,
-                                _signed_bytes(self), self.signature,
+                                signed_bytes(self), self.signature,
                                 msg=self.gossip.msg_id)
 
     @staticmethod
@@ -260,7 +244,7 @@ class FindMissingMessage:
         if not self.gossip.verify(directory):
             return False
         return directory.verify(self.initiator,
-                                _signed_bytes(self), self.signature,
+                                signed_bytes(self), self.signature,
                                 msg=self.gossip.msg_id)
 
     def with_ttl(self, ttl: int) -> "FindMissingMessage":

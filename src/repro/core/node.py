@@ -108,7 +108,9 @@ class NetworkNode:
         # The protocol verifies through this node's own caching view of
         # the shared directory (per-node verified-signature LRU).  Hello
         # beacons keep the plain directory: every (sender, seq) beacon is
-        # unique, so caching them would only add eviction pressure.
+        # unique, so caching them would only add eviction pressure.  What
+        # a beacon's receivers do share is its signed *bytes*, memoized
+        # on the message; each still verifies for itself.
         proto_directory = directory
         if stack.protocol.verify_cache_size > 0:
             proto_directory = directory.caching_view(

@@ -1,6 +1,6 @@
 """Cryptographic substrate: digests, DSA, HMAC oracle, key directory."""
 
-from .digest import digest_int, encode_fields, sha256
+from .digest import digest_int, encode_fields, sha256, signed_bytes
 from .dsa import (
     DsaParameters,
     DsaPrivateKey,
@@ -42,4 +42,5 @@ __all__ = [
     "is_probable_prime",
     "sha256",
     "sign_fields",
+    "signed_bytes",
 ]

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from typing import Iterable, Union
+from typing import Any, Iterable, Union
 
-__all__ = ["sha256", "digest_int", "encode_fields", "Fieldable"]
+__all__ = ["sha256", "digest_int", "encode_fields", "signed_bytes",
+           "Fieldable"]
 
 Fieldable = Union[bytes, str, int, float]
 
@@ -63,3 +64,22 @@ def encode_fields(fields: Iterable[Fieldable]) -> bytes:
     distinct field sequences produce the same encoding.
     """
     return b"".join(_encode_one(field) for field in fields)
+
+
+def signed_bytes(message: Any) -> bytes:
+    """Canonical signed bytes of a frozen message, memoized on the instance.
+
+    ``message`` is any frozen object with a ``signed_fields()`` tuple.
+    Its fields never change, so the canonical encoding is computed once
+    per object and reused by every later ``verify`` — a node re-verifies
+    the same gossip entry on every gossip period, and one HELLO beacon
+    object is verified by every neighbour that hears it.  Only the
+    *bytes* are shared; each verifier still runs its own verification
+    over them.  The memo is identity-keyed — it lives on the instance —
+    so it cannot leak across distinct messages.
+    """
+    cached = getattr(message, "_signed_cache", None)
+    if cached is None:
+        cached = encode_fields(message.signed_fields())
+        object.__setattr__(message, "_signed_cache", cached)
+    return cached

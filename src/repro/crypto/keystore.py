@@ -112,6 +112,8 @@ class DsaScheme(SignatureScheme):
         public = self._public.get(node_id)
         if public is None:
             return False
+        if not (isinstance(message, bytes) and isinstance(signature, bytes)):
+            return False
         try:
             decoded = dsa.DsaSignature.from_bytes(signature)
         except ValueError:
@@ -153,13 +155,16 @@ class HmacScheme(SignatureScheme):
         key = self._keys.get(node_id)
         if key is None:
             return False
-        expected = hmac.new(key, message, hashlib.sha256).digest()
-        return hmac.compare_digest(expected[: self.SIGNATURE_SIZE], signature)
+        try:
+            expected = hmac.digest(key, message, "sha256")
+            return hmac.compare_digest(expected[: self.SIGNATURE_SIZE],
+                                       signature)
+        except TypeError:
+            return False  # a message or signature that is not bytes
 
     def _sign(self, node_id: int, message: bytes) -> bytes:
         key = self._keys[node_id]
-        tag = hmac.new(key, message, hashlib.sha256).digest()
-        return tag[: self.SIGNATURE_SIZE]
+        return hmac.digest(key, message, "sha256")[: self.SIGNATURE_SIZE]
 
 
 class KeyDirectory:

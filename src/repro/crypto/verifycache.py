@@ -131,9 +131,14 @@ class CachingKeyDirectory(KeyDirectory):
 
     def verify(self, node_id: int, message: bytes, signature: bytes,
                msg=None) -> bool:
-        key = VerifyCache.key(node_id, message, signature)
+        try:
+            key = VerifyCache.key(node_id, message, signature)
+        except TypeError:
+            # A message or signature that is not bytes names no signed
+            # triple: never looked up, refused by the scheme below.
+            key = None
         ctx = obs.ACTIVE
-        if self.cache.check(key):
+        if key is not None and self.cache.check(key):
             prof = profiling.ACTIVE
             if prof is not None:
                 prof.add("crypto.verify_hit")

@@ -23,7 +23,7 @@ The manager wires together:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, FrozenSet, List, Optional, Tuple
 
 from ..des.kernel import Simulator
 from ..des.timers import PeriodicTask
@@ -35,6 +35,64 @@ from .state import ElectionRule, LocalView, NeighborReport, NodeStatus
 __all__ = ["OverlayConfig", "OverlayManager"]
 
 _EXTRAS_KEY = "ov"
+
+#: status, mis_member, neighbors, mis_neighbors, suspects
+_ParsedState = Tuple[NodeStatus, bool, FrozenSet[int], FrozenSet[int],
+                     FrozenSet[int]]
+
+_STATUS_BY_VALUE = {status.value: status for status in NodeStatus}
+_ID_CONTAINERS = (list, tuple, set, frozenset)
+_INT_ONLY = frozenset((int,))
+
+
+def _id_set(value: Any) -> Optional[FrozenSet[int]]:
+    """``value`` as a set of node ids, or None unless it is a plain
+    container of plain ints (``True``, ``1.5`` and ``"12"`` are not ids)."""
+    if not isinstance(value, _ID_CONTAINERS):
+        return None
+    if not _INT_ONLY.issuperset(map(type, value)):
+        return None
+    return frozenset(value)
+
+
+def _parse_state(state: Any) -> Optional[_ParsedState]:
+    """The overlay state a beacon carries, or None if any part of it is
+    malformed (a Byzantine sender: the whole state is ignored).  Never
+    raises; absent keys read as the defaults of an empty report."""
+    if not isinstance(state, dict):
+        return None
+    status = state.get("status", NodeStatus.PASSIVE.value)
+    if type(status) is not str or status not in _STATUS_BY_VALUE:
+        return None
+    mis = state.get("mis", False)
+    if type(mis) is not bool:
+        return None
+    neighbors = _id_set(state.get("nbrs", ()))
+    mis_neighbors = _id_set(state.get("misnbrs", ()))
+    suspects = _id_set(state.get("suspects", ()))
+    if neighbors is None or mis_neighbors is None or suspects is None:
+        return None
+    return (_STATUS_BY_VALUE[status], mis, neighbors, mis_neighbors,
+            suspects)
+
+
+# One-entry memo of _parse_state.  A beacon is one frozen message whose
+# state dict reaches every receiver by reference, and the medium calls
+# those receivers back to back, so remembering the last dict parsed
+# turns k parses per beacon into one.  Keyed on object identity (the
+# strong reference keeps the id from being reused): two distinct beacons
+# with equal contents never share the entry.  Not part of any world, so
+# nothing of it is pickled; it holds one beacon's state until the next.
+_last_state: Any = None
+_last_parsed: Optional[_ParsedState] = None     # == _parse_state(None)
+
+
+def _parse_state_once(state: Any) -> Optional[_ParsedState]:
+    global _last_state, _last_parsed
+    if state is not _last_state:
+        _last_parsed = _parse_state(state)
+        _last_state = state
+    return _last_parsed
 
 
 @dataclass(frozen=True)
@@ -175,15 +233,17 @@ class OverlayManager:
     # ------------------------------------------------------------------
     def _publish_state(self) -> Dict[str, Any]:
         suspects = tuple(self._trust.untrusted_nodes())
+        neighbors = self._neighbors.neighbors()
         mis_adjacent = tuple(sorted(
-            n for n in self.trusted_neighbors()
-            if (report := self._fresh_report(n)) is not None
+            n for n in neighbors
+            if self._trust.level(n) is TrustLevel.TRUSTED
+            and (report := self._fresh_report(n)) is not None
             and report.mis_member))
         return {
             _EXTRAS_KEY: {
                 "status": self._status.value,
                 "mis": self._mis,
-                "nbrs": tuple(self._neighbors.neighbors()),
+                "nbrs": tuple(neighbors),
                 "misnbrs": mis_adjacent,
                 "suspects": suspects,
             }
@@ -191,18 +251,10 @@ class OverlayManager:
 
     def _on_neighbor_state(self, sender: int,
                            extras: Dict[str, Any]) -> None:
-        state = extras.get(_EXTRAS_KEY)
-        if not isinstance(state, dict):
-            return
-        try:
-            status = NodeStatus(state.get("status", "passive"))
-            neighbors = frozenset(int(n) for n in state.get("nbrs", ()))
-            mis_neighbors = frozenset(int(n)
-                                      for n in state.get("misnbrs", ()))
-            suspects = frozenset(int(n) for n in state.get("suspects", ()))
-            mis = bool(state.get("mis", False))
-        except (TypeError, ValueError):
-            return  # malformed state from a Byzantine node: ignore
+        parsed = _parse_state_once(extras.get(_EXTRAS_KEY))
+        if parsed is None:
+            return  # no state, or malformed state from a Byzantine node
+        status, mis, neighbors, mis_neighbors, suspects = parsed
         self._reports[sender] = NeighborReport(
             status=status, mis_member=mis, neighbors=neighbors,
             mis_neighbors=mis_neighbors, suspects=suspects,

@@ -27,8 +27,10 @@ Phases are dot-namespaced strings; the conventional vocabulary is in
 inclusive — it contains the time of every phase nested under an event
 callback — and ``medium.complete`` is inclusive of the receive-side
 handler work (reception resolution delivers packets synchronously into
-the protocol, where verifications happen); the crypto/codec phases are
-leaf costs.
+the protocol, where verifications happen); ``hello.send`` and
+``hello.recv`` are the beacon plane (neighbor discovery plus everything
+piggybacked on it) and are inclusive of the signing, verification and
+listener work they trigger; the crypto/codec phases are leaf costs.
 
 Usage::
 
@@ -69,6 +71,11 @@ PHASES = (
     "medium.complete",     # reception resolution (inclusive of handlers)
     "medium.candidates",   # candidate-receiver lookup (vectorized mask
                            # computation, or the scalar oracle's scan)
+    "hello.send",          # one HELLO beacon built, signed, sized and
+                           # handed to the MAC (inclusive of crypto.sign)
+    "hello.recv",          # one HELLO reception: verification, liveness
+                           # refresh and every listener (overlay state
+                           # parse, peer suspicion reports) inclusive
     "kernel.event",        # event dispatch (inclusive of nested phases)
 )
 

@@ -11,15 +11,27 @@ is piggybacked onto the beacons through *extras providers* — the paper
 notes "most overlay maintenance messages can be piggybacked on gossip
 messages"; piggybacking on HELLO beacons plays the same role without an
 extra packet class.
+
+Beacon fast path: one transmission is one frozen :class:`HelloMessage`
+handed by reference to every neighbour that hears it, so work that
+depends only on the beacon is done once per beacon — its signed bytes are
+memoized on the message (:func:`repro.crypto.digest.signed_bytes`) and
+the sender re-walks the frame for its size only when its extras changed.
+What a receiver decides is never shared: each one runs its own
+``directory.verify`` and counts its own bad signatures.  ``extras`` (and
+everything inside it) is immutable once the beacon is sent; listeners
+must not modify it.
 """
 
 from __future__ import annotations
 
+import marshal
 from dataclasses import dataclass
+from time import perf_counter
 from typing import Any, Callable, Dict, List, Optional
 
-from .. import codec
-from ..crypto.digest import encode_fields
+from .. import codec, profiling
+from ..crypto.digest import encode_fields, signed_bytes
 from ..crypto.keystore import KeyDirectory, Signer
 from ..des.kernel import Simulator
 from ..des.random import RandomStream
@@ -34,7 +46,9 @@ HELLO_KIND = "hello"
 
 @dataclass(frozen=True)
 class HelloMessage:
-    """Beacon payload: identity, sequence number, piggybacked extras."""
+    """Beacon payload: identity, sequence number, piggybacked extras.
+
+    ``extras`` is immutable once the beacon is sent."""
 
     sender: int
     seq: int
@@ -50,6 +64,13 @@ class HelloMessage:
 
 class NeighborService:
     """Tracks one node's direct neighbors from HELLO receptions."""
+
+    # What the last sized beacon's extras looked like and how many frame
+    # bytes they (plus the frame's fixed part) took; see _emit_hello.
+    # Class-level defaults, so a service restored from a snapshot taken
+    # before these existed simply sizes its next beacon in full.
+    _sized_extras: Optional[bytes] = None
+    _extras_size = 0
 
     def __init__(self, sim: Simulator, radio: Radio, rng: RandomStream, *,
                  hello_period: float = 1.0,
@@ -98,7 +119,8 @@ class NeighborService:
     def add_listener(self,
                      listener: Callable[[int, Dict[str, Any]], None]) -> None:
         """Register a callback invoked as ``listener(sender, extras)`` for
-        every authenticated HELLO received."""
+        every authenticated HELLO received.  ``extras`` is the beacon's own
+        dict, shared by every receiver of that beacon: read-only."""
         self._listeners.append(listener)
 
     # ------------------------------------------------------------------
@@ -120,18 +142,44 @@ class NeighborService:
 
     # ------------------------------------------------------------------
     def _send_hello(self) -> None:
+        prof = profiling.ACTIVE
+        if prof is None:
+            self._emit_hello()
+            return
+        start = perf_counter()
+        self._emit_hello()
+        prof.add("hello.send", perf_counter() - start)
+
+    def _emit_hello(self) -> None:
         extras: Dict[str, Any] = {}
         for provider in self._providers:
             extras.update(provider())
         self._seq += 1
+        sender = self._radio.node_id
         signature = b""
         if self._signer is not None:
-            signature = self._signer.sign(
-                encode_fields((self._radio.node_id, self._seq)))
-        hello = HelloMessage(sender=self._radio.node_id, seq=self._seq,
-                             extras=extras, signature=signature)
-        self._radio.send(hello, size_bytes=self._wire_size(hello),
-                         kind=HELLO_KIND)
+            signature = self._signer.sign(encode_fields((sender, self._seq)))
+        hello = HelloMessage(sender=sender, seq=self._seq, extras=extras,
+                             signature=signature)
+        # Most beacons repeat the previous one's extras, so the frame is
+        # walked only when they changed.  marshal is the C-speed, type-exact
+        # fingerprint ``==`` cannot be: True == 1 == 1.0, yet they encode to
+        # 1, 2 and 9 bytes.  (Equal fingerprints decode to equal values of
+        # equal types; it refuses subclass instances, which are then sized
+        # every time.)
+        envelope = (codec.encoded_size(sender) + codec.encoded_size(self._seq)
+                    + codec.encoded_size(signature))
+        try:
+            fingerprint = marshal.dumps(extras)
+        except ValueError:
+            fingerprint = None
+        if fingerprint is not None and fingerprint == self._sized_extras:
+            size = self._extras_size + envelope
+        else:
+            size = self._wire_size(hello)
+            self._sized_extras = fingerprint
+            self._extras_size = size - envelope
+        self._radio.send(hello, size_bytes=size, kind=HELLO_KIND)
 
     @staticmethod
     def _wire_size(hello: HelloMessage) -> int:
@@ -146,13 +194,26 @@ class NeighborService:
         payload = packet.payload
         if not isinstance(payload, HelloMessage):
             return False
-        if self._directory is not None:
-            encoded = encode_fields(payload.signed_fields())
-            if not self._directory.verify(payload.sender, encoded,
-                                          payload.signature):
-                self.bad_signature_count += 1
-                return True
-        self._last_seen[payload.sender] = self._sim.now
-        for listener in self._listeners:
-            listener(payload.sender, payload.extras)
+        prof = profiling.ACTIVE
+        if prof is None:
+            self._receive(payload)
+            return True
+        start = perf_counter()
+        self._receive(payload)
+        prof.add("hello.recv", perf_counter() - start)
         return True
+
+    def _receive(self, hello: HelloMessage) -> None:
+        # The signed bytes are the beacon's; the verification is ours.
+        if self._directory is not None and not self._directory.verify(
+                hello.sender, signed_bytes(hello), hello.signature):
+            self.bad_signature_count += 1
+            return
+        self._last_seen[hello.sender] = self._sim.now
+        extras = hello.extras
+        if not isinstance(extras, dict):
+            # Authenticated all the same (the signature binds sender and
+            # seq, not extras), but there is nothing a listener can read.
+            return
+        for listener in self._listeners:
+            listener(hello.sender, extras)

@@ -112,7 +112,7 @@ class StabilityDetector:
             return
         try:
             acks = {int(source): int(seq) for source, seq in raw}
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             return  # malformed ack vector from a Byzantine node: ignore
         if any(seq < 0 for seq in acks.values()):
             return

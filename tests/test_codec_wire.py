@@ -95,6 +95,70 @@ def test_property_decoder_never_crashes_unsafely(data):
         pass
 
 
+# The codec's whole value domain, not only what decodes back unchanged:
+# huge and negative ints, non-finite floats, tuples, sets, non-ASCII keys.
+sortable_sets = st.one_of(
+    st.frozensets(st.integers(min_value=-2**70, max_value=2**70),
+                  max_size=5),
+    st.sets(st.text(max_size=4), max_size=4))
+codec_values = st.recursive(
+    st.one_of(st.none(), st.booleans(),
+              st.integers(min_value=-2**80, max_value=2**80),
+              st.floats(), st.binary(max_size=200), st.text(max_size=16),
+              sortable_sets),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=6), children, max_size=4)),
+    max_leaves=16)
+
+
+@settings(max_examples=300, deadline=None)
+@given(codec_values)
+def test_property_encoded_size_is_the_encoded_length(value):
+    assert codec.encoded_size(value) == len(codec.encode(value))
+
+
+class TestEncodedSizeWalk:
+    @pytest.mark.parametrize("value", [
+        [], (), {}, set(), frozenset(), "", b"", 0, -1, 63, 64, -64, -65,
+        2**63, 2**64 - 1, -2**63, 2**200, b"x" * 127, b"x" * 128,
+        "ü" * 64, {"ключ": {"é": ["ß", ("日本",)]}}, float("inf"),
+        float("nan"), {"ov": {"nbrs": (1, 2, 3), "mis": True}},
+    ])
+    def test_boundaries(self, value):
+        assert codec.encoded_size(value) == len(codec.encode(value))
+
+    @pytest.mark.parametrize("depth", [31, 32, 33, 40])
+    def test_depth_limit_is_the_encoders(self, depth):
+        for leaf in ([], 7):
+            value = leaf
+            for _ in range(depth):
+                value = [value]
+            try:
+                expected = len(codec.encode(value))
+            except codec.CodecError as exc:
+                with pytest.raises(codec.CodecError, match=str(exc)):
+                    codec.encoded_size(value)
+            else:
+                assert codec.encoded_size(value) == expected
+
+    def test_rejects_what_encode_rejects(self):
+        for bad in (object(), {1: "non-str key"}, [1, {"k": bytearray()}]):
+            with pytest.raises(codec.CodecError):
+                codec.encode(bad)
+            with pytest.raises(codec.CodecError):
+                codec.encoded_size(bad)
+        with pytest.raises(TypeError):      # unorderable, as in encode
+            codec.encoded_size({1, "a"})
+
+    def test_allocates_no_buffer(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("encoded_size must not serialize")
+        monkeypatch.setattr(codec, "_encode_into", forbidden)
+        assert codec.encoded_size({"k": [1, "two", b"3"]}) == 16
+
+
 class TestWireFormat:
     @pytest.fixture
     def signer(self):

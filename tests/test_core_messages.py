@@ -83,6 +83,13 @@ class TestGossipMessage:
                                signature=gossip.signature)
         assert not forged.verify(directory)
 
+    @pytest.mark.parametrize("signature", ["str", None, 5])
+    def test_non_bytes_signature_refused_not_raised(self, directory,
+                                                    signers, signature):
+        forged = GossipMessage(msg_id=MessageId(1, 7), signature=signature)
+        assert forged.verify(directory) is False
+        assert forged.verify(directory.caching_view(8, owner=2)) is False
+
     def test_data_pattern_header_matches_data(self, signers):
         gossip = GossipMessage.create(signers[1], 7)
         data = DataMessage.create(signers[1], 7, b"x")

@@ -58,6 +58,33 @@ class TestSchemes:
         assert not scheme.verify(1, b"x", b"\x00" * scheme.signature_size)
 
 
+    @pytest.mark.parametrize("signature", ["str", None, 5, ("t",), 2.5])
+    def test_non_bytes_signature_refused_not_raised(self, scheme, signature):
+        scheme.register(1)
+        assert scheme.verify(1, b"x", signature) is False
+        assert KeyDirectory(scheme).verify(1, b"x", signature) is False
+
+    @pytest.mark.parametrize("message", ["x", None, 5])
+    def test_non_bytes_message_refused_not_raised(self, scheme, message):
+        signature = scheme.register(1).sign(b"x")
+        assert scheme.verify(1, message, signature) is False
+        assert KeyDirectory(scheme).verify(1, message, signature) is False
+
+
+def test_hmac_tag_is_truncated_hmac_sha256():
+    """The scheme's bytes are pinned: one-shot ``hmac.digest`` computes
+    the tag ``hmac.new(...).digest()`` did."""
+    import hashlib
+    import hmac
+    scheme = HmacScheme(seed=b"pin")
+    signer = scheme.register(4)
+    key = hashlib.sha256(b"pin:key:4").digest()
+    expected = hmac.new(key, b"message", hashlib.sha256).digest()[:20]
+    assert signer.sign(b"message") == expected
+    assert signer.sign(b"message").hex() == (
+        "202d958b5ccba5875130fad2f16e8f25dd8f9a21")
+
+
 class TestKeyDirectory:
     def test_issue_and_verify(self):
         directory = KeyDirectory(HmacScheme(seed=b"d"))

@@ -1,10 +1,13 @@
 """Integration-style tests for the OverlayManager over real radios."""
 
+import pytest
+
 from repro.crypto.keystore import HmacScheme, KeyDirectory
 from repro.des.kernel import Simulator
 from repro.des.random import StreamFactory
 from repro.fd.events import SuspicionReason
 from repro.fd.trust import TrustFailureDetector, TrustLevel
+from repro.overlay import manager as manager_module
 from repro.overlay.cds import CdsRule
 from repro.overlay.manager import OverlayConfig, OverlayManager
 from repro.overlay.metrics import evaluate_overlay
@@ -111,6 +114,49 @@ def test_malformed_neighbor_state_ignored():
     managers[0]._on_neighbor_state(1, {"ov": {"status": "active",
                                               "nbrs": ["x", None]}})
     sim.run(until=6.0)  # still running fine
+
+
+@pytest.mark.parametrize("state", [
+    {"nbrs": [float("inf")]},       # raised OverflowError out of the handler
+    {"nbrs": [float("nan")]},
+    {"nbrs": [1.5]},                # was truncated to {1}
+    {"nbrs": [True]},
+    {"suspects": "12"},             # a str iterated as the digits {1, 2}
+    {"misnbrs": b"\x01\x02"},
+    {"misnbrs": {"1": 2}},
+    {"nbrs": [[1]]},
+    {"nbrs": 7},
+    {"status": "bogus"}, {"status": ["active"]}, {"status": None},
+    {"mis": 1}, {"mis": "yes"}, {"mis": None},
+])
+def test_malformed_state_is_ignored_whole(state):
+    _, managers, _, trusts = build({0: (0, 0), 1: (50, 0)})
+    reported = []
+    trusts[0].report_from_peer = lambda *args: reported.append(args)
+    managers[0]._on_neighbor_state(
+        1, {"ov": {"status": "active", "suspects": [5], **state}})
+    assert managers[0].neighbor_report(1) is None
+    assert reported == []
+
+
+def test_parse_state_is_total():
+    junk = [None, 0, "", b"", (), [], {}, {"ov": {}}, float("inf"),
+            {"nbrs": object()}, {"status": {}}, {1: 2}]
+    for state in junk:
+        parsed = manager_module._parse_state(state)
+        assert parsed is None or isinstance(parsed, tuple)
+
+
+def test_honest_state_parses_as_before():
+    # Every container the codec domain offers, wire-decoded lists included.
+    for container in (tuple, list, set, frozenset):
+        parsed = manager_module._parse_state({
+            "status": "passive", "mis": False, "nbrs": container((4, 2, 9)),
+            "misnbrs": container(()), "suspects": container((7,))})
+        assert parsed == (NodeStatus.PASSIVE, False, frozenset({2, 4, 9}),
+                          frozenset(), frozenset({7}))
+    assert manager_module._parse_state({}) == (
+        NodeStatus.PASSIVE, False, frozenset(), frozenset(), frozenset())
 
 
 def test_stale_reports_expire():

@@ -141,9 +141,10 @@ class TestExperimentProfile:
         assert profiling.ACTIVE is None
         assert result.profile
         for phase in ("crypto.sign", "crypto.verify", "kernel.event",
-                      "medium.complete"):
+                      "medium.complete", "hello.send", "hello.recv"):
             assert result.profile[phase]["count"] > 0
             assert result.profile[phase]["seconds"] >= 0.0
+        assert set(result.profile) <= set(profiling.PHASES)
         assert result_to_record(config, result)["profile"] is not None
 
     def test_phase_counts_deterministic(self):
@@ -155,6 +156,39 @@ class TestExperimentProfile:
              for phase, stats in run_experiment(config).profile.items()}
             for _ in range(2)
         ]
+        assert counts[0] == counts[1]
+
+    def test_hello_phase_counts_are_beacons_sent_and_heard(self,
+                                                            monkeypatch):
+        """``hello.send`` / ``hello.recv`` count beacons handed to the MAC
+        and HELLO deliveries, and repeat exactly for a seeded run."""
+        from repro.radio.neighbors import NeighborService
+        from repro.radio.radio import Radio
+        sent, heard = [], []
+        real_send, real_handle = Radio.send, NeighborService.handle_packet
+
+        def send(self, payload, size_bytes, kind="data", **kwargs):
+            if kind == "hello":
+                sent.append(1)
+            return real_send(self, payload, size_bytes, kind=kind, **kwargs)
+
+        def handle_packet(self, packet):
+            consumed = real_handle(self, packet)
+            if consumed:
+                heard.append(1)
+            return consumed
+
+        monkeypatch.setattr(Radio, "send", send)
+        monkeypatch.setattr(NeighborService, "handle_packet", handle_packet)
+        config = ExperimentConfig(scenario=ScenarioConfig(n=8, seed=3),
+                                  profile=True, **SMALL)
+        counts = []
+        for _ in range(2):
+            del sent[:], heard[:]
+            profile = run_experiment(config).profile
+            assert profile["hello.send"]["count"] == len(sent) > 0
+            assert profile["hello.recv"]["count"] == len(heard) > len(sent)
+            counts.append((len(sent), len(heard)))
         assert counts[0] == counts[1]
 
     def test_profiling_does_not_change_results(self):

@@ -67,6 +67,7 @@ class TestStabilityDetection:
         detector._on_hello(1, {"acks": "garbage"})
         detector._on_hello(1, {"acks": ((0, "NaN"),)})
         detector._on_hello(1, {"acks": ((0, -5),)})
+        detector._on_hello(1, {"acks": ((0, float("inf")),)})
         assert detector.stable_horizon(0) >= 0  # still sane
 
 

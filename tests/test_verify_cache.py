@@ -116,6 +116,16 @@ class TestCachingKeyDirectory:
         assert self.scheme.verifications == 2
         assert len(self.view.cache) == 0
 
+    @pytest.mark.parametrize("message, signature", [
+        (b"hello", "str"), (b"hello", None), (b"hello", 5),
+        ("hello", b"\x00" * 20), (None, b"\x00" * 20)])
+    def test_non_bytes_refused_and_never_cached(self, message, signature):
+        assert self.view.verify(1, message, signature) is False
+        assert self.view.verify(1, message, signature) is False
+        assert self.scheme.verifications == 2
+        assert len(self.view.cache) == 0
+        assert (self.view.cache.hits, self.view.cache.misses) == (0, 0)
+
     def test_tampered_variant_misses_genuine_entry(self):
         signature = self.signer.sign(b"hello")
         assert self.view.verify(1, b"hello", signature)
