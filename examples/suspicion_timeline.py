@@ -70,8 +70,8 @@ def _describe(event) -> str:
         return (f"node {event.node} now rates node {d['target']} "
                 f"{d['level']}")
     if event.category == "accept":
-        if d["seq"] == 1 or d["seq"] == 8:
-            return (f"node {event.node} accepted message #{d['seq']} "
+        if d["msg_seq"] == 1 or d["msg_seq"] == 8:
+            return (f"node {event.node} accepted message #{d['msg_seq']} "
                     f"from node {d['originator']}")
         return ""  # keep the timeline readable
     return ""

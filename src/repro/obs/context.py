@@ -23,10 +23,12 @@ Two properties are load-bearing:
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from time import perf_counter
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
-from .registry import MetricRegistry
+from .. import profiling
+from .registry import Counter, MetricRegistry
 
 __all__ = [
     "PHASES",
@@ -132,9 +134,9 @@ class ObsConfig:
     #: Attach the span dicts to ``ExperimentResult.trace`` (the metric
     #: series always travels; spans can be bulky for big campaigns).
     spans_in_result: bool = True
-    #: Categories for the :class:`~repro.tracing.TraceRecorder` the
-    #: experiment runner fans spans into (``None`` = the observability
-    #: set: span, metric, chaos, violation, checkpoint).
+    #: Categories for the :class:`~repro.tracing.TraceRecorder` whose
+    #: stream the experiment runner merges spans into (``None`` = the
+    #: observability set: span, metric, chaos, violation, checkpoint).
     categories: Optional[Tuple[str, ...]] = None
 
     def __post_init__(self) -> None:
@@ -148,33 +150,82 @@ class ObsConfig:
                 raise ValueError(f"unknown phases: {sorted(unknown)}")
 
 
-@dataclass(frozen=True)
+def flat_row(columns: Dict[str, Any],
+             detail: Dict[str, Any]) -> Dict[str, Any]:
+    """``columns`` then ``detail`` as one flat export row, in that order.
+
+    A detail key named like a column cannot shadow it: the column keeps
+    its place *and* its value (the detail stays readable on the object,
+    it just has no row key of its own)."""
+    row = {**columns, **detail}
+    if len(row) != len(columns) + len(detail):
+        row.update(columns)
+    return row
+
+
 class Span:
     """One lifecycle event.
 
     ``seq`` is the context-wide emission index: a monotonic total order
     that survives export/re-import even when many spans share a virtual
     timestamp.  ``duration`` is non-zero only for phases with extent
-    (``tx`` airtime, ``backoff`` windows).
+    (``tx`` airtime, ``backoff`` windows).  ``stream_seq`` is the span's
+    position in the attached :class:`~repro.tracing.TraceRecorder`'s
+    merged stream (0 = not part of it); it is the recorder's bookkeeping,
+    not part of the span's value — ``==`` and :meth:`to_dict` ignore it.
+
+    A hand-written ``__slots__`` class: tens of thousands are built per
+    observed run, each exactly once (in :meth:`ObsContext.span`).
     """
 
-    seq: int
-    span_id: str
-    time: float
-    phase: str
-    node: int
-    msg: Optional[Tuple[int, int]] = None
-    duration: float = 0.0
-    detail: Dict[str, Any] = field(default_factory=dict)
+    __slots__ = ("seq", "span_id", "time", "phase", "node", "msg",
+                 "duration", "detail", "stream_seq")
+
+    def __init__(self, seq: int, span_id: str, time: float, phase: str,
+                 node: int, msg: Optional[Tuple[int, int]],
+                 duration: float, detail: Dict[str, Any],
+                 stream_seq: int = 0):
+        self.seq = seq
+        self.span_id = span_id
+        self.time = time
+        self.phase = phase
+        self.node = node
+        self.msg = msg
+        self.duration = duration
+        self.detail = detail
+        self.stream_seq = stream_seq
+
+    def _value(self) -> Tuple[Any, ...]:
+        return (self.seq, self.span_id, self.time, self.phase, self.node,
+                self.msg, self.duration, self.detail)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Span:
+            return NotImplemented
+        return self._value() == other._value()  # type: ignore[attr-defined]
+
+    def __repr__(self) -> str:
+        return (f"Span(seq={self.seq!r}, span_id={self.span_id!r}, "
+                f"time={self.time!r}, phase={self.phase!r}, "
+                f"node={self.node!r}, msg={self.msg!r}, "
+                f"duration={self.duration!r}, detail={self.detail!r})")
+
+    def __getstate__(self):
+        return self._value() + (self.stream_seq,)
+
+    def __setstate__(self, state):
+        (self.seq, self.span_id, self.time, self.phase, self.node,
+         self.msg, self.duration, self.detail, self.stream_seq) = state
 
     def to_dict(self) -> Dict[str, Any]:
         """Flat export form.  ``time`` is *not* rounded: rounding would
         collapse distinct same-microsecond spans (see the TraceEvent
         ``seq`` fix) and floats serialise deterministically anyway."""
-        return {"seq": self.seq, "span": self.span_id, "time": self.time,
-                "phase": self.phase, "node": self.node,
-                "msg": msg_key(self.msg), "duration": self.duration,
-                **self.detail}
+        return flat_row(
+            {"seq": self.seq, "span": self.span_id, "time": self.time,
+             "phase": self.phase, "node": self.node,
+             "msg": msg_key(self.msg), "duration": self.duration},
+            self.detail)
 
 
 class ObsContext:
@@ -200,6 +251,9 @@ class ObsContext:
         self._phase_filter = (frozenset(config.phases)
                               if config.phases is not None else None)
         self.registry = MetricRegistry()
+        #: phase -> its ``spans.<phase>`` registry counter, by reference:
+        #: the per-span tally is one dict probe and an add.
+        self._phase_counters: Dict[str, Counter] = {}
         self.meta: Dict[str, Any] = {}
         self._recorder = None
         self._sampler = None
@@ -220,10 +274,16 @@ class ObsContext:
         self._sim = sim
 
     def attach_recorder(self, recorder) -> None:
-        """Fan every span (category ``span``) and metric sample (category
-        ``metric``) into a :class:`~repro.tracing.TraceRecorder` as well,
-        so spans interleave with chaos/violation/checkpoint events in one
-        stream."""
+        """Make a :class:`~repro.tracing.TraceRecorder`'s stream the
+        merged one: every span from now on reserves its place in it
+        (category ``span``; the recorder derives the event from the span
+        when the stream is read) and every metric sample is recorded
+        into it (category ``metric``), so both interleave with
+        chaos/violation/checkpoint events.  One context feeds one
+        recorder."""
+        if self._recorder is not None and self._recorder is not recorder:
+            raise ValueError("context already feeds another recorder")
+        recorder.adopt_spans(self)
         self._recorder = recorder
 
     def attach_sampler(self, sampler) -> None:
@@ -243,28 +303,35 @@ class ObsContext:
              duration: float = 0.0, **detail: Any) -> Optional[str]:
         """Record one lifecycle event; returns its span id (or ``None``
         when span recording is off / the phase is filtered)."""
-        if not self._config.spans:
+        config = self._config
+        if not config.spans:
             return None
         if self._phase_filter is not None and phase not in self._phase_filter:
             return None
-        if msg is not None:
+        # span_id()'s format, with the "o:s" prefix rendered once.
+        if msg is None:
+            prefix = "-"
+        else:
             msg = (msg[0], msg[1])
+            prefix = f"{msg[0]}:{msg[1]}"
         key = (msg, node)
         k = self._occurrences.get(key, 0) + 1
         self._occurrences[key] = k
-        sid = span_id(msg, node, k)
-        capacity = self._config.capacity
-        if capacity is not None and len(self.spans) >= capacity:
+        sid = f"{prefix}/{node}/{k}"
+        spans = self.spans
+        if config.capacity is not None and len(spans) >= config.capacity:
             self.dropped += 1
             return sid
         self._seq += 1
-        self.spans.append(Span(seq=self._seq, span_id=sid,
-                               time=self._sim.now, phase=phase, node=node,
-                               msg=msg, duration=duration, detail=detail))
-        self.registry.counter(_PHASE_COUNTER_PREFIX + phase).inc()
-        if self._recorder is not None:
-            self._recorder.record("span", node, span=sid, phase=phase,
-                                  msg=msg_key(msg), **detail)
+        recorder = self._recorder
+        spans.append(Span(self._seq, sid, self._sim.now, phase, node, msg,
+                          duration, detail,
+                          0 if recorder is None else recorder.reserve("span")))
+        counter = self._phase_counters.get(phase)
+        if counter is None:
+            counter = self._phase_counters[phase] = self.registry.counter(
+                _PHASE_COUNTER_PREFIX + phase)
+        counter.value += 1
         return sid
 
     def last_span_id(self, node: int,
@@ -290,6 +357,15 @@ class ObsContext:
         """The ``ExperimentResult.trace`` payload: run metadata, the span
         stream (unless suppressed by config), the sampled metric series
         and the final registry snapshot."""
+        prof = profiling.ACTIVE
+        if prof is None:
+            return self._export_payload()
+        start = perf_counter()
+        payload = self._export_payload()
+        prof.add("obs.export", perf_counter() - start)
+        return payload
+
+    def _export_payload(self) -> Dict[str, Any]:
         payload: Dict[str, Any] = {
             "meta": dict(self.meta),
             "span_count": len(self.spans),

@@ -11,8 +11,10 @@ bound-method callback — so it checkpoints and resumes with the world.
 
 from __future__ import annotations
 
+from time import perf_counter
 from typing import Dict, Optional
 
+from .. import profiling
 from ..des.kernel import Simulator
 from ..des.timers import PeriodicTask
 from .context import ObsContext
@@ -45,7 +47,17 @@ class MetricSampler:
 
     # ------------------------------------------------------------------
     def sample(self) -> None:
-        """One tick: read every probe and append a series row.
+        """One tick: read every probe and append a series row."""
+        prof = profiling.ACTIVE
+        if prof is None:
+            self._sample_body()
+            return
+        start = perf_counter()
+        self._sample_body()
+        prof.add("obs.sample", perf_counter() - start)
+
+    def _sample_body(self) -> None:
+        """Read the probes.
 
         All reads are cheap attribute walks (``getattr`` guards keep the
         sampler protocol-agnostic — baseline stacks without a store or

@@ -76,6 +76,9 @@ PHASES = (
     "hello.recv",          # one HELLO reception: verification, liveness
                            # refresh and every listener (overlay state
                            # parse, peer suspicion reports) inclusive
+    "obs.sample",          # one metric-sampler tick (observed runs only)
+    "obs.export",          # ObsContext.export_payload: every span's
+                           # to_dict, once per observed run
     "kernel.event",        # event dispatch (inclusive of nested phases)
 )
 

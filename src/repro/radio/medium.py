@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .. import profiling
 from ..des.kernel import Simulator
@@ -251,11 +251,14 @@ class Medium:
     def _complete_body(self, tx: Transmission) -> None:
         tx.completed = True
         radios = self._radios
+        # Once per transmission, not once per receiver.
+        ctx = obs.ACTIVE
+        msg = obs.msg_of(tx.packet.payload) if ctx is not None else None
         for node_id in self._candidate_ids():
             radio = radios.get(node_id)
             if radio is None or node_id == tx.sender or not radio.enabled:
                 continue
-            self._resolve_reception(tx, radio)
+            self._resolve_reception(tx, radio, ctx, msg)
         self._prune()
 
     def _candidate_ids(self) -> List[int]:
@@ -271,26 +274,27 @@ class Medium:
         prof.add("medium.candidates", perf_counter() - start)
         return out
 
-    def _resolve_reception(self, tx: Transmission,
-                           radio: _AttachedRadio) -> None:
+    def _resolve_reception(self, tx: Transmission, radio: _AttachedRadio,
+                           ctx: Optional[obs.ObsContext],
+                           msg: Optional[Tuple[int, int]]) -> None:
+        """Decide one candidate's reception; ``ctx``/``msg`` are the
+        active observability context and the frame's message id, read by
+        the caller once for the whole transmission."""
         position = radio.get_position()
         distance = tx.origin.distance_to(position)
         if distance >= self._propagation.max_reach(tx.tx_range):
             return
-        ctx = obs.ACTIVE
         if self._transmitted_during(radio.node_id, tx):
             self.stats.half_duplex_losses += 1
             if ctx is not None:
-                ctx.span("loss", radio.node_id,
-                         msg=obs.msg_of(tx.packet.payload),
+                ctx.span("loss", radio.node_id, msg=msg,
                          kind=tx.packet.kind, sender=tx.sender,
                          reason="half_duplex")
             return
         if self._interfered(tx, radio.node_id, position):
             self.stats.collisions += 1
             if ctx is not None:
-                ctx.span("collision", radio.node_id,
-                         msg=obs.msg_of(tx.packet.payload),
+                ctx.span("collision", radio.node_id, msg=msg,
                          kind=tx.packet.kind, sender=tx.sender)
             for observer in self._observers:
                 observer.on_collision(radio.node_id, tx.packet)
@@ -299,14 +303,13 @@ class Medium:
                 distance, tx.tx_range, self._rng):
             self.stats.propagation_losses += 1
             if ctx is not None:
-                ctx.span("loss", radio.node_id,
-                         msg=obs.msg_of(tx.packet.payload),
+                ctx.span("loss", radio.node_id, msg=msg,
                          kind=tx.packet.kind, sender=tx.sender,
                          reason="propagation")
             return
         self.stats.deliveries += 1
         if ctx is not None:
-            ctx.span("rx", radio.node_id, msg=obs.msg_of(tx.packet.payload),
+            ctx.span("rx", radio.node_id, msg=msg,
                      kind=tx.packet.kind, sender=tx.sender)
         for observer in self._observers:
             observer.on_deliver(radio.node_id, tx.packet)

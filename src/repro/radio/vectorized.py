@@ -175,6 +175,9 @@ class VectorizedMedium(Medium):
             packet = tx.packet
             sender = tx.sender
             kind = packet.kind
+            # Once per transmission, not once per receiver.
+            ctx = obs.ACTIVE
+            msg = obs.msg_of(packet.payload) if ctx is not None else None
             for node_id, half_duplex, interfered in plan:
                 radio = radios.get(node_id)
                 if radio is None or not radio.enabled:
@@ -182,20 +185,17 @@ class VectorizedMedium(Medium):
                     # powered off the radio; honour the live state like
                     # the scalar loop does.
                     continue
-                ctx = obs.ACTIVE
                 if half_duplex:
                     stats.half_duplex_losses += 1
                     if ctx is not None:
-                        ctx.span("loss", node_id,
-                                 msg=obs.msg_of(packet.payload),
+                        ctx.span("loss", node_id, msg=msg,
                                  kind=kind, sender=sender,
                                  reason="half_duplex")
                     continue
                 if interfered:
                     stats.collisions += 1
                     if ctx is not None:
-                        ctx.span("collision", node_id,
-                                 msg=obs.msg_of(packet.payload),
+                        ctx.span("collision", node_id, msg=msg,
                                  kind=kind, sender=sender)
                     for observer in observers:
                         observer.on_collision(node_id, packet)
@@ -206,8 +206,7 @@ class VectorizedMedium(Medium):
                             distance, tx.tx_range, self._rng):
                         stats.propagation_losses += 1
                         if ctx is not None:
-                            ctx.span("loss", node_id,
-                                     msg=obs.msg_of(packet.payload),
+                            ctx.span("loss", node_id, msg=msg,
                                      kind=kind, sender=sender,
                                      reason="propagation")
                         continue
@@ -217,7 +216,7 @@ class VectorizedMedium(Medium):
                 # perturbing RNG state.
                 stats.deliveries += 1
                 if ctx is not None:
-                    ctx.span("rx", node_id, msg=obs.msg_of(packet.payload),
+                    ctx.span("rx", node_id, msg=msg,
                              kind=kind, sender=sender)
                 for observer in observers:
                     observer.on_deliver(node_id, packet)

@@ -56,7 +56,10 @@ __all__ = [
 #: pickles exclude the slab free list; pre-slab snapshots are refused.
 #: v4: the spatial-hash-grid medium is gone (``repro.radio.grid`` no
 #: longer imports), so snapshots that may pickle one are refused.
-CHECKPOINT_VERSION = 4
+#: v5: ``Span``/``TraceEvent`` are slotted classes with tuple state and
+#: the recorder derives its ``span`` events from the context instead of
+#: holding a copy; a v4 *observed* snapshot has neither shape.
+CHECKPOINT_VERSION = 5
 
 
 class CheckpointError(RuntimeError):

@@ -551,8 +551,9 @@ def _build_observability(config: ExperimentConfig, sim: Simulator, nodes,
                          controller: Optional[ChaosController],
                          oracle: Optional[InvariantOracle],
                          events: Sequence[BroadcastEvent]):
-    """Assemble the observability context, recorder fan-in, and metric
-    sampler for one world.  Returns ``(context, recorder)``."""
+    """Assemble the observability context, the recorder whose stream it
+    merges into, and the metric sampler for one world.  Returns
+    ``(context, recorder)``."""
     scenario = config.scenario
     observe = config.observe
     obs_ctx = ObsContext(observe, sim=sim)
@@ -673,10 +674,13 @@ def finish_world(world: ExperimentWorld) -> ExperimentResult:
         violations=([v.to_dict() for v in oracle.violations]
                     if oracle else []),
     )
+    if world.obs is not None:
+        # Under the world's profiler, before its summary is taken, so
+        # the export is accounted as ``obs.export``.
+        with _instruments(world.profiler, None):
+            result.trace = world.obs.export_payload()
     if world.profiler is not None:
         result.profile = world.profiler.summary()
-    if world.obs is not None:
-        result.trace = world.obs.export_payload()
     # Partial runtime stub: the deterministic event count now, wall-clock
     # fields once run_experiment/resume_experiment knows the elapsed time.
     result.runtime = {"events": sim.events_fired}

@@ -6,42 +6,73 @@ suspicions, trust changes, overlay status flips — and records them as a
 uniform, queryable, exportable event stream.  Useful for debugging
 protocol behaviour and for building timelines in examples/notebooks
 without instrumenting protocol code.
+
+With an :class:`~repro.obs.ObsContext` attached the stream is *merged*:
+lifecycle spans take their place in it by ``seq`` beside the recorder's
+own events.  Spans are not copied in — each reserves its ``seq`` when it
+is emitted and the ``span`` events are derived from the context's spans
+whenever the stream is read (:attr:`TraceRecorder.events`).
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional
+from operator import attrgetter
+from typing import Any, Dict, Iterable, List, Optional
 
 from ..core.messages import MessageId
 from ..des.kernel import Simulator
+from ..obs.context import flat_row, msg_key
 from ..radio.medium import Medium, MediumObserver
 from ..radio.packet import Packet
 
 __all__ = ["TraceEvent", "TraceRecorder"]
 
 
-@dataclass(frozen=True)
 class TraceEvent:
     """One recorded occurrence.
 
     ``seq`` is the recorder's monotonic emission index.  ``to_dict``
     rounds ``time`` for readability, which can collapse distinct events
     recorded within the same microsecond — ``seq`` keeps the exported
-    order total and re-importable regardless.
+    order total and re-importable regardless: no detail key can shadow
+    it (or ``time``/``category``/``node``) in the exported row.
     """
 
-    time: float
-    category: str
-    node: int
-    details: Dict[str, Any] = field(default_factory=dict)
-    seq: int = 0
+    __slots__ = ("time", "category", "node", "details", "seq")
+
+    def __init__(self, time: float, category: str, node: int,
+                 details: Dict[str, Any], seq: int):
+        self.time = time
+        self.category = category
+        self.node = node
+        self.details = details
+        self.seq = seq
+
+    def _value(self):
+        return (self.time, self.category, self.node, self.details, self.seq)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not TraceEvent:
+            return NotImplemented
+        return self._value() == other._value()  # type: ignore[attr-defined]
+
+    def __repr__(self) -> str:
+        return (f"TraceEvent(time={self.time!r}, "
+                f"category={self.category!r}, node={self.node!r}, "
+                f"details={self.details!r}, seq={self.seq!r})")
+
+    def __getstate__(self):
+        return self._value()
+
+    def __setstate__(self, state):
+        (self.time, self.category, self.node, self.details,
+         self.seq) = state
 
     def to_dict(self) -> Dict[str, Any]:
-        return {"seq": self.seq, "time": round(self.time, 6),
-                "category": self.category, "node": self.node,
-                **self.details}
+        return flat_row({"seq": self.seq, "time": round(self.time, 6),
+                         "category": self.category, "node": self.node},
+                        self.details)
 
 
 class _MediumTap(MediumObserver):
@@ -70,8 +101,9 @@ class _AcceptTap:
 
     def __call__(self, receiver: int, originator: int, payload: bytes,
                  msg_id: MessageId) -> None:
+        # ``msg_seq``, not ``seq``: that row key is the stream position.
         self._recorder.record("accept", receiver, originator=originator,
-                              seq=msg_id.seq)
+                              msg_seq=msg_id.seq)
 
 
 class _SuspectTap:
@@ -118,17 +150,22 @@ class _ViolationTap:
         self._recorder = recorder
 
     def __call__(self, violation) -> None:
+        detail = dict(violation.detail)
+        if "seq" in detail:
+            # The oracle's ``seq`` is the message's; in the stream that
+            # key is the row's position, so it travels as ``msg_seq``.
+            detail = {("msg_seq" if key == "seq" else key): value
+                      for key, value in detail.items()}
         self._recorder.record("violation", violation.node,
-                              invariant=violation.invariant,
-                              **dict(violation.detail))
+                              invariant=violation.invariant, **detail)
 
 
 class TraceRecorder:
     """Collects :class:`TraceEvent` objects from a live simulation."""
 
     #: Categories recorded when no filter is supplied.  ``span`` and
-    #: ``metric`` carry the fan-in from :mod:`repro.obs` (lifecycle spans
-    #: and sampled metric rows).
+    #: ``metric`` come from :mod:`repro.obs`: lifecycle spans (derived on
+    #: read from the attached context) and sampled metric rows.
     ALL_CATEGORIES = ("tx", "rx", "collision", "accept", "suspect",
                       "trust", "overlay", "chaos", "violation", "profile",
                       "checkpoint", "span", "metric")
@@ -143,15 +180,29 @@ class TraceRecorder:
         if unknown:
             raise ValueError(f"unknown trace categories: {sorted(unknown)}")
         self._capacity = capacity
+        #: Stream positions handed out so far — one per event in the
+        #: stream, recorded or span-derived, so also the stream's length.
         self._seq = 0
-        self.events: List[TraceEvent] = []
+        #: Events recorded eagerly (everything but the attached
+        #: context's spans), in ``seq`` order.
+        self._recorded: List[TraceEvent] = []
+        #: The :class:`~repro.obs.ObsContext` whose spans are part of
+        #: the stream, and the index of its first span that can be.
+        self._span_source = None
+        self._span_start = 0
         self.dropped = 0
 
     # ------------------------------------------------------------------
     # Wiring
     # ------------------------------------------------------------------
     def attach_medium(self, medium: Medium) -> "TraceRecorder":
-        medium.add_observer(_MediumTap(self))
+        """Tap the medium for ``tx``/``rx``/``collision`` — unless the
+        category filter excludes all three: the tap would then be called
+        per transmit, delivery and collision only for every event to be
+        discarded (the default for observed runs, whose spans already
+        carry the physical layer)."""
+        if not self._categories.isdisjoint(("tx", "rx", "collision")):
+            medium.add_observer(_MediumTap(self))
         return self
 
     def attach_node(self, node) -> "TraceRecorder":
@@ -168,6 +219,14 @@ class TraceRecorder:
         for node in nodes:
             self.attach_node(node)
         return self
+
+    def adopt_spans(self, context) -> None:
+        """Present ``context``'s spans from here on as ``span`` events
+        (called by :meth:`repro.obs.ObsContext.attach_recorder`)."""
+        if self._span_source is not None and self._span_source is not context:
+            raise ValueError("recorder already merges another context")
+        self._span_source = context
+        self._span_start = len(context.spans)
 
     def attach_chaos(self, controller) -> "TraceRecorder":
         """Record each applied fault of a
@@ -212,16 +271,45 @@ class TraceRecorder:
     # ------------------------------------------------------------------
     # Recording and querying
     # ------------------------------------------------------------------
-    def record(self, category: str, node: int, **details: Any) -> None:
+    def reserve(self, category: str) -> int:
+        """Claim the next stream position for one ``category`` event, or
+        return 0 when the category filter excludes it or ``capacity`` is
+        spent (counted in :attr:`dropped`).  Every event enters the
+        stream through here, whether :meth:`record` stores it now or the
+        attached context's span stands for it until the stream is read."""
         if category not in self._categories:
-            return
-        if self._capacity is not None and len(self.events) >= self._capacity:
+            return 0
+        if self._capacity is not None and self._seq >= self._capacity:
             self.dropped += 1
-            return
+            return 0
         self._seq += 1
-        self.events.append(TraceEvent(time=self._sim.now, category=category,
-                                      node=node, details=details,
-                                      seq=self._seq))
+        return self._seq
+
+    def record(self, category: str, node: int, **details: Any) -> None:
+        if "seq" in details or "time" in details:
+            raise ValueError(
+                "'seq' and 'time' are stream columns, not detail keys")
+        seq = self.reserve(category)
+        if seq:
+            self._recorded.append(
+                TraceEvent(self._sim.now, category, node, details, seq))
+
+    @property
+    def events(self) -> List[TraceEvent]:
+        """The stream in ``seq`` order, materialised on each read:
+        recorded events merged with one ``span`` event per span of the
+        attached context that reserved a position."""
+        source = self._span_source
+        if source is None:
+            return list(self._recorded)
+        derived = [
+            TraceEvent(span.time, "span", span.node,
+                       flat_row({"span": span.span_id, "phase": span.phase,
+                                 "msg": msg_key(span.msg)}, span.detail),
+                       span.stream_seq)
+            for span in source.spans[self._span_start:] if span.stream_seq]
+        # Two ascending runs: timsort merges them in linear time.
+        return sorted(self._recorded + derived, key=attrgetter("seq"))
 
     def select(self, category: Optional[str] = None,
                node: Optional[int] = None,
@@ -252,12 +340,15 @@ class TraceRecorder:
     # ------------------------------------------------------------------
     def to_jsonl(self, path: str) -> int:
         """Write events as JSON Lines; returns the event count."""
+        events = self.events
         with open(path, "w") as handle:
-            for event in self.events:
+            for event in events:
                 handle.write(json.dumps(event.to_dict()) + "\n")
-        return len(self.events)
+        return len(events)
 
     def clear(self) -> None:
-        self.events.clear()
+        self._recorded.clear()
+        if self._span_source is not None:
+            self._span_start = len(self._span_source.spans)
         self.dropped = 0
         self._seq = 0

@@ -253,13 +253,56 @@ def test_snapshot_of_removed_class_is_refused_and_run_restarts(
     monkeypatch.setitem(sys.modules, gone.__name__, gone)
     path = checkpoint_path(str(tmp_path), config_key(ck))
     with open(path, "wb") as handle:
-        pickle.dump({"version": CHECKPOINT_VERSION - 1,
+        pickle.dump({"version": 3,
                      "key": config_key(ck), "world": gone.Index()}, handle)
     monkeypatch.delitem(sys.modules, gone.__name__)
 
     with pytest.raises(CheckpointError, match="repro.radio.grid"):
         load_checkpoint(path)
     assert canonical(ck, run_experiment(ck)) == baseline
+
+
+def test_v4_observed_snapshot_is_refused_and_run_restarts(
+        tmp_path, monkeypatch):
+    """A version-4 observed snapshot pickles ``Span`` as a dataclass with
+    dict state and a recorder holding an eager ``events`` list.  Neither
+    shape loads into the slotted classes; there is no second format in
+    ``__setstate__`` — the snapshot reads as "no usable checkpoint"."""
+    import dataclasses
+    from repro.obs import ObsConfig
+    from repro.obs import context as obs_context
+
+    config = replace(base_config(), observe=ObsConfig())
+    ck = replace(config, checkpoint=CheckpointConfig(
+        every=1.0, directory=str(tmp_path)))
+    baseline = canonical(config, run_experiment(config))
+
+    @dataclasses.dataclass(frozen=True)
+    class Span:
+        seq: int
+        span_id: str
+        time: float
+        phase: str
+        node: int
+        msg: tuple = None
+        duration: float = 0.0
+        detail: dict = dataclasses.field(default_factory=dict)
+
+    Span.__module__, Span.__qualname__ = obs_context.__name__, "Span"
+    legacy = Span(1, "0:1/2/1", 4.0, "rx", 2, (0, 1), 0.0, {"sender": 0})
+    path = checkpoint_path(str(tmp_path), config_key(ck))
+    with monkeypatch.context() as patch:
+        patch.setattr(obs_context, "Span", Span)
+        with open(path, "wb") as handle:
+            pickle.dump({"version": 4, "key": config_key(ck),
+                         "world": {"spans": [legacy], "events": []}}, handle)
+
+    with pytest.raises(CheckpointError):
+        load_checkpoint(path)
+    assert CHECKPOINT_VERSION > 4
+    # The observed run starts over and still gets the right answer.
+    assert canonical(ck, run_experiment(ck)) == baseline
+    assert latest_checkpoint(str(tmp_path), config_key(ck)) is None
 
 
 def test_corrupt_snapshot_falls_back_to_fresh_run(tmp_path):

@@ -191,6 +191,24 @@ class TestExperimentProfile:
             counts.append((len(sent), len(heard)))
         assert counts[0] == counts[1]
 
+    def test_obs_phase_counts_are_sampler_ticks_and_one_export(self):
+        """``obs.sample`` counts metric-sampler ticks and ``obs.export``
+        the single payload export; neither appears unobserved."""
+        from repro.obs import ObsConfig
+        plain = ExperimentConfig(scenario=ScenarioConfig(n=8, seed=3),
+                                 profile=True, **SMALL)
+        assert not {"obs.sample", "obs.export"} & set(
+            run_experiment(plain).profile)
+        observed = ExperimentConfig(scenario=ScenarioConfig(n=8, seed=3),
+                                    profile=True, observe=ObsConfig(),
+                                    **SMALL)
+        for _ in range(2):
+            result = run_experiment(observed)
+            ticks = len(result.trace["series"]["time"])
+            assert result.profile["obs.sample"]["count"] == ticks > 0
+            assert result.profile["obs.export"]["count"] == 1
+            assert set(result.profile) <= set(profiling.PHASES)
+
     def test_profiling_does_not_change_results(self):
         """A profiled run's record equals the unprofiled run's record
         once the profile block itself is removed."""

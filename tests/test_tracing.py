@@ -69,6 +69,20 @@ class TestFilteringAndQuerying:
         sim.run(until=sim.now + 8.0)
         assert set(recorder.counts()) <= {"accept"}
 
+    def test_medium_is_tapped_only_for_a_physical_category(self):
+        from repro.tracing.recorder import _MediumTap
+
+        def taps(categories):
+            sim, medium, nodes, _ = build_network(line_coords(2, 80.0),
+                                                  100.0)
+            TraceRecorder(sim, categories=categories).attach_medium(medium)
+            return [observer for observer in medium._observers
+                    if isinstance(observer, _MediumTap)]
+
+        assert not taps(["span", "metric", "chaos"])
+        assert len(taps(["span", "collision"])) == 1
+        assert len(taps(None)) == 1
+
     def test_unknown_category_rejected(self):
         sim, nodes, _ = traced_network(line_coords(2, 80.0))
         with pytest.raises(ValueError):
@@ -90,7 +104,7 @@ class TestFilteringAndQuerying:
         sim.run(until=sim.now + 8.0)
         event = recorder.first("accept", originator=0)
         assert event is not None
-        assert event.details["seq"] == 1
+        assert event.details["msg_seq"] == 1
         assert recorder.first("accept", originator=99) is None
 
     def test_capacity_bound(self):
@@ -211,3 +225,71 @@ class TestObservabilityCategories:
         (event,) = recorder.events
         assert event.node == -1
         assert event.details == {"path": "a.ckpt", "events_fired": 7}
+
+
+class TestStreamColumns:
+    """``seq``/``time``/``category``/``node`` are the stream's own row
+    keys: no tap or detail may export something else under them."""
+
+    def make_recorder(self):
+        from repro.des.kernel import Simulator
+
+        sim = Simulator()
+        return sim, TraceRecorder(sim)
+
+    def test_accept_tap_keeps_the_stream_seq(self):
+        # Regression: the tap recorded ``seq=msg_id.seq`` and ``to_dict``
+        # ended with ``**details``, so this exported seqs 1, 2, 7.
+        from repro.core.messages import MessageId
+        from repro.tracing.recorder import _AcceptTap
+
+        _, recorder = self.make_recorder()
+        recorder.record("tx", 0)
+        recorder.record("tx", 0)
+        _AcceptTap(recorder)(1, 0, b"x", MessageId(0, 7))
+        rows = [event.to_dict() for event in recorder.events]
+        assert [row["seq"] for row in rows] == [1, 2, 3]
+        assert rows[-1]["msg_seq"] == 7 and rows[-1]["originator"] == 0
+
+    def test_violation_tap_exports_the_message_seq_as_msg_seq(self):
+        from repro.chaos.oracle import InvariantViolation
+        from repro.tracing.recorder import _ViolationTap
+
+        _, recorder = self.make_recorder()
+        recorder.record("tx", 0)
+        violation = InvariantViolation(
+            time=0.0, node=4, invariant="duplicate_delivery",
+            detail={"originator": 0, "seq": 9, "span": "0:9/4/2"})
+        _ViolationTap(recorder)(violation)
+        row = recorder.events[-1].to_dict()
+        assert row["seq"] == 2
+        assert list(row)[4:] == ["invariant", "originator", "msg_seq", "span"]
+        assert row["msg_seq"] == 9
+        assert violation.detail["seq"] == 9     # the record is untouched
+
+    @pytest.mark.parametrize("column", ["seq", "time"])
+    def test_record_rejects_a_detail_named_like_a_column(self, column):
+        _, recorder = self.make_recorder()
+        with pytest.raises(ValueError, match="stream columns"):
+            recorder.record("tx", 0, **{column: 5})
+        assert recorder.events == []
+
+    def test_span_detail_cannot_shadow_a_column(self):
+        # Spans are not checked when emitted (that is the hot path); the
+        # export rows keep their columns whatever the detail is called.
+        from repro.obs import ObsConfig, ObsContext
+
+        sim, recorder = self.make_recorder()
+        ctx = ObsContext(ObsConfig(), sim=sim)
+        ctx.attach_recorder(recorder)
+        recorder.record("tx", 0)
+        sid = ctx.span("rx", 3, msg=(0, 1), seq=99, time=-1.0,
+                       span="bogus", category="x", sender=2)
+        (span,) = ctx.spans
+        assert span.to_dict() == {
+            "seq": 1, "span": sid, "time": 0.0, "phase": "rx", "node": 3,
+            "msg": "0:1", "duration": 0.0, "category": "x", "sender": 2}
+        assert span.detail["seq"] == 99          # still on the object
+        assert recorder.events[-1].to_dict() == {
+            "seq": 2, "time": 0.0, "category": "span", "node": 3,
+            "span": sid, "phase": "rx", "msg": "0:1", "sender": 2}
