@@ -6,8 +6,10 @@ Public API tour
 
 * :mod:`repro.sim` — one-call experiments: ``run_experiment(config)``;
 * :mod:`repro.core` — the protocol itself (:class:`NetworkNode`,
-  :class:`ByzantineBroadcastProtocol`);
-* :mod:`repro.baselines` — flooding, overlay-only, f+1 overlays;
+  :class:`ByzantineBroadcastProtocol`) and the :class:`NodeShell`
+  lifecycle every node shares;
+* :mod:`repro.arena` — the protocol registry, the paper's baselines
+  (flooding, overlay-only, f+1 overlays) and the literature's rivals;
 * :mod:`repro.adversary` — Byzantine behaviours and active attackers;
 * :mod:`repro.chaos` — fault timelines (:class:`FaultSchedule`) replayed
   mid-run, plus the run-time :class:`InvariantOracle`;

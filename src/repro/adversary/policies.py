@@ -166,6 +166,8 @@ def make_behavior(kind: str, rng: Optional[RandomStream] = None,
             raise ValueError("forging requires an rng")
         return ForgingBehavior(rng, **kwargs)
     if kind == "impersonation":
+        if "victim_id" not in kwargs:
+            raise ValueError("impersonation requires a victim_id")
         return ImpersonationBehavior(**kwargs)
     if kind == "gossip_liar":
         return GossipLiarBehavior()

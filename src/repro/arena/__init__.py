@@ -16,8 +16,11 @@ the runner itself can depend on it).
 
 from .base import ArenaNode, DATA_HEADER_BYTES
 from .dolev import DolevData, DolevNode, disjoint_path_count
+from .flooding import FloodingNode
 from .mtx import MaurerTixeuilNode
+from .multi_overlay import MultiOverlayNode
 from .optflood import OptFloodNode
+from .overlay_only import OverlayOnlyNode
 from .registry import (
     ENTRY_POINT_GROUP,
     BuildContext,
@@ -41,9 +44,12 @@ __all__ = [
     "DolevData",
     "DolevNode",
     "ENTRY_POINT_GROUP",
+    "FloodingNode",
     "MaurerTixeuilNode",
+    "MultiOverlayNode",
     "NodeFactory",
     "OptFloodNode",
+    "OverlayOnlyNode",
     "ProtocolSpec",
     "available_protocols",
     "disjoint_path_count",

@@ -1,23 +1,17 @@
-"""Shared machinery for arena protocol nodes.
+"""Shared machinery for nodes that flood signed DATA frames.
 
-:class:`ArenaNode` implements the full arena node contract (see
-:mod:`repro.arena.registry`): radio wiring, signed DATA creation,
-at-most-once delivery with listener fan-out, behaviour-policy filtering,
-obs lifecycle spans, and crash/restart fault hooks.  A concrete protocol
-only decides *when* to transmit and *when* a received copy is
-trustworthy enough to deliver.
-
-Subclass hooks
---------------
-``_on_broadcast(message)``
-    The node originated ``message``; disseminate it.
-``_on_message(packet)``
-    A non-HELLO packet arrived (already behaviour-intercepted).
-``_start_protocol() / _stop_protocol() / _reset_protocol_state()``
-    Periodic machinery lifecycle; reset is called by a state-wiping
-    restart (the broadcast sequence counter survives so a node never
-    reuses a message id — same contract as
-    :class:`repro.core.NetworkNode`).
+:class:`ArenaNode` is the signed-DATA half of an arena node on top of
+:class:`repro.core.shell.NodeShell` (identity, radio, accept fan-out and
+the one ``start``/``stop``/``crash``/``restart``): DATA creation,
+at-most-once delivery, behaviour-policy filtering on both the transmit
+and the receive seam, and the ``origin``/``sign``/``deliver`` lifecycle
+spans.  A concrete protocol only decides *when* to transmit and *when* a
+received copy is trustworthy enough to deliver: it implements
+``_on_broadcast(message)`` (the node originated ``message``; disseminate
+it) and ``_on_message(packet)`` (a packet arrived, already
+behaviour-intercepted), optionally ``_rewrap`` and the shell's lifecycle
+hooks — an extended reset calls ``super()._reset_protocol_state()`` so
+the delivery set goes with the rest.
 
 Everything here is picklable (bound methods only, no closures), so every
 arena protocol works under checkpoint/resume unchanged.
@@ -25,10 +19,11 @@ arena protocol works under checkpoint/resume unchanged.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple
+from typing import Optional
 
 from ..core.messages import DATA, DataMessage, MessageId
 from ..core.protocol import NodeBehavior
+from ..core.shell import NodeShell
 from ..crypto.keystore import KeyDirectory
 from ..des.kernel import Simulator
 from ..des.random import StreamFactory
@@ -37,85 +32,29 @@ from ..radio.geometry import Position
 from ..radio.mac import MacConfig
 from ..radio.medium import Medium
 from ..radio.packet import Packet
-from ..radio.radio import Radio
 
 __all__ = ["ArenaNode", "DATA_HEADER_BYTES"]
 
 DATA_HEADER_BYTES = 20
 
-AcceptListener = Callable[[int, int, bytes, MessageId], None]
 
-
-class ArenaNode:
-    """Base class for rival-protocol nodes in the arena."""
+class ArenaNode(NodeShell):
+    """Base class for nodes that flood signed DATA frames."""
 
     def __init__(self, sim: Simulator, medium: Medium, node_id: int,
                  position: Position, tx_range: float,
                  streams: StreamFactory, directory: KeyDirectory,
                  mac_config: Optional[MacConfig] = None,
                  behavior: Optional[NodeBehavior] = None):
-        self._sim = sim
-        self._node_id = node_id
-        self._directory = directory
-        self.signer = directory.issue(node_id)
+        super().__init__(sim, medium, node_id, position, tx_range, streams,
+                         directory, mac_config)
         self._behavior = behavior
         self._seq = 0
-        self._crashed = False
         self._delivered: set = set()
-        self.accepted: List[Tuple[float, int, MessageId]] = []
-        self._accept_listeners: List[AcceptListener] = []
-        self.radio = Radio(sim, medium, node_id, position, tx_range,
-                           streams.stream(f"mac:{node_id}"), mac_config)
-        self.radio.set_receiver(self._on_packet)
-
-    # ------------------------------------------------------------------
-    @property
-    def node_id(self) -> int:
-        return self._node_id
-
-    @property
-    def position(self) -> Position:
-        return self.radio.position
-
-    @property
-    def crashed(self) -> bool:
-        return self._crashed
-
-    def start(self) -> None:
-        self._start_protocol()
-
-    def stop(self) -> None:
-        self._stop_protocol()
-
-    def add_accept_listener(self, listener: AcceptListener) -> None:
-        self._accept_listeners.append(listener)
 
     def set_behavior(self, behavior: Optional[NodeBehavior]) -> None:
         """Swap the behaviour policy mid-run (``None`` → correct)."""
         self._behavior = behavior
-
-    # ------------------------------------------------------------------
-    # Fault injection (repro.chaos drives these)
-    # ------------------------------------------------------------------
-    def crash(self) -> None:
-        """Crash-fault the node: radio off, periodic machinery halted.
-        Idempotent, mirroring :class:`repro.core.NetworkNode`."""
-        if self._crashed:
-            return
-        self._crashed = True
-        self.radio.power_off()
-        self._stop_protocol()
-
-    def restart(self, reset_state: bool = True) -> None:
-        """Bring a crashed node back; idempotent on a live node."""
-        if not self._crashed:
-            return
-        self._crashed = False
-        if reset_state:
-            self._delivered = set()
-            self._reset_protocol_state()
-        self.radio.power_on()
-        self._start_protocol()
 
     # ------------------------------------------------------------------
     # Broadcast / deliver
@@ -153,15 +92,6 @@ class ArenaNode:
                         message.msg_id)
         return True
 
-    def _on_accept(self, originator: int, payload: bytes,
-                   msg_id: MessageId) -> None:
-        """The accept seam — same shape as ``NetworkNode._on_accept`` so
-        the planted-bug fuzz fixtures can sabotage every protocol through
-        one patch point."""
-        self.accepted.append((self._sim.now, originator, msg_id))
-        for listener in self._accept_listeners:
-            listener(self._node_id, originator, payload, msg_id)
-
     # ------------------------------------------------------------------
     # Transmission
     # ------------------------------------------------------------------
@@ -182,7 +112,7 @@ class ArenaNode:
                 message = filtered
                 wire = None if wire is None else self._rewrap(wire, message)
         size = (DATA_HEADER_BYTES + extra_bytes + len(message.payload)
-                + self._directory.signature_size)
+                + self.directory.signature_size)
         self.radio.send(message if wire is None else wire,
                         size_bytes=size, kind=DATA)
         return True
@@ -210,11 +140,6 @@ class ArenaNode:
     def _on_message(self, packet: Packet) -> None:
         raise NotImplementedError
 
-    def _start_protocol(self) -> None:
-        """Default: no periodic machinery."""
-
-    def _stop_protocol(self) -> None:
-        """Default: no periodic machinery."""
-
     def _reset_protocol_state(self) -> None:
-        """Default: no protocol state beyond the delivery set."""
+        """The delivery set is RAM; subclasses extend (and call up)."""
+        self._delivered = set()

@@ -1,12 +1,12 @@
 """Built-in protocol registrations.
 
 Importing this module (which :mod:`repro.arena` does) registers every
-protocol the repo ships: the paper's stack, the three comparison
-baselines that predate the arena, and the three rival reliable-broadcast
-protocols from the literature.  The experiment runner builds node
-populations exclusively through these registrations, so the historical
-``PROTOCOLS`` tuple in :mod:`repro.sim.experiment` is now just the
-paper-canonical subset of what the registry knows.
+protocol the repo ships: the paper's stack, the paper's three comparison
+baselines, and the three rival reliable-broadcast protocols from the
+literature.  The experiment runner builds node populations exclusively
+through these registrations, so the historical ``PROTOCOLS`` tuple in
+:mod:`repro.sim.experiment` is now just the paper-canonical subset of
+what the registry knows.
 
 Each registration states the protocol's **mute tolerance** — the number
 of mute-Byzantine nodes (scenario ``high_id`` placement, correct
@@ -20,17 +20,14 @@ from __future__ import annotations
 
 from typing import List
 
-from ..baselines.flooding import FloodingNode
-from ..baselines.multi_overlay import (
-    MultiOverlayNode,
-    build_independent_overlays,
-)
-from ..baselines.overlay_only import OverlayOnlyNode
 from ..core.node import NetworkNode
 from ..mobility.placement import connectivity_graph
 from .dolev import DolevNode
+from .flooding import FloodingNode
 from .mtx import MaurerTixeuilNode
+from .multi_overlay import MultiOverlayNode, build_independent_overlays
 from .optflood import OptFloodNode
+from .overlay_only import OverlayOnlyNode
 from .registry import BuildContext, register_protocol
 
 __all__ = [
@@ -41,7 +38,7 @@ __all__ = [
 
 
 # ----------------------------------------------------------------------
-# Paper stack + pre-arena baselines
+# Paper stack + the paper's comparison baselines
 # ----------------------------------------------------------------------
 def build_byzcast(ctx: BuildContext) -> List[NetworkNode]:
     scenario = ctx.config.scenario

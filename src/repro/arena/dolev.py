@@ -120,6 +120,7 @@ class DolevNode(ArenaNode):
         return self._paths_required
 
     def _reset_protocol_state(self) -> None:
+        super()._reset_protocol_state()
         self._paths = {}
         self._relayed = {}
         self._echo_state = {}
@@ -155,7 +156,7 @@ class DolevNode(ArenaNode):
             return
         if self._node_id in wire.path or packet.sender == self._node_id:
             return  # MD.3: looped copies add no disjointness
-        if not message.verify(self._directory):
+        if not message.verify(self.directory):
             return
         if packet.sender == msg_id.originator and not wire.path:
             # Direct link from the source: Dolev delivers immediately.

@@ -76,6 +76,7 @@ class MaurerTixeuilNode(ArenaNode):
         return self._k
 
     def _reset_protocol_state(self) -> None:
+        super()._reset_protocol_state()
         self._vouchers = {}
         self._resend_state = {}
         self._repair_pending = set()
@@ -104,7 +105,7 @@ class MaurerTixeuilNode(ArenaNode):
                     self._rng.jitter(self._repair_delay, 0.5),
                     self._repair_send, msg_id)
             return
-        if not message.verify(self._directory):
+        if not message.verify(self.directory):
             return
         if packet.sender == msg_id.originator:
             self._accept(message, packet.sender)

@@ -17,19 +17,13 @@ message is flooded once per overlay as an independently-tagged copy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
 import networkx as nx
 
-from ..core.messages import DATA, DataMessage, MessageId
-from ..crypto.keystore import KeyDirectory
-from ..des.kernel import Simulator
-from ..des.random import StreamFactory
-from ..radio.geometry import Position
-from ..radio.mac import MacConfig
-from ..radio.medium import Medium
+from ..core.messages import DataMessage, MessageId
 from ..radio.packet import Packet
-from ..radio.radio import Radio
+from .base import ArenaNode
 
 __all__ = [
     "TaggedData",
@@ -38,7 +32,7 @@ __all__ = [
     "MultiOverlayNode",
 ]
 
-_DATA_HEADER_BYTES = 22  # +2 bytes for the overlay tag
+_TAG_BYTES = 2  # the overlay tag on top of the DATA header
 
 
 @dataclass(frozen=True)
@@ -132,93 +126,33 @@ def build_independent_overlays(graph: "nx.Graph",
     return overlays
 
 
-class MultiOverlayNode:
+class MultiOverlayNode(ArenaNode):
     """A node participating in f+1 tagged overlay floods."""
 
-    def __init__(self, sim: Simulator, medium: Medium, node_id: int,
-                 position: Position, tx_range: float,
-                 streams: StreamFactory, directory: KeyDirectory,
-                 overlay_memberships: Sequence[bool],
-                 mac_config: Optional[MacConfig] = None,
-                 behavior=None):
-        self._sim = sim
-        self._node_id = node_id
-        self._directory = directory
-        self.signer = directory.issue(node_id)
-        self._behavior = behavior
+    def __init__(self, *args, overlay_memberships: Sequence[bool], **kwargs):
+        super().__init__(*args, **kwargs)
         self._memberships = tuple(overlay_memberships)
-        self._seq = 0
-        self._crashed = False
+        #: Copies are deduplicated per (message, overlay) so each overlay
+        #: floods independently; delivery stays per message (the base
+        #: class's ``_delivered``).
         self._seen_copies: Set[Tuple[MessageId, int]] = set()
-        self._accepted_ids: Set[MessageId] = set()
-        self.accepted: List[Tuple[float, int, MessageId]] = []
-        self._accept_listeners: List[Callable[[int, int, bytes, MessageId],
-                                              None]] = []
-        self.radio = Radio(sim, medium, node_id, position, tx_range,
-                           streams.stream(f"mac:{node_id}"), mac_config)
-        self.radio.set_receiver(self._on_packet)
-
-    # ------------------------------------------------------------------
-    @property
-    def node_id(self) -> int:
-        return self._node_id
-
-    @property
-    def position(self) -> Position:
-        return self.radio.position
 
     @property
     def overlay_count(self) -> int:
         return len(self._memberships)
 
-    @property
-    def crashed(self) -> bool:
-        return self._crashed
-
-    def start(self) -> None:
-        """No periodic machinery; present for API parity."""
-
-    def stop(self) -> None:
-        """API parity with :class:`repro.core.NetworkNode`."""
-
-    def crash(self) -> None:
-        """Crash-fault the node (radio off).  Idempotent; same contract
-        as :class:`repro.core.NetworkNode`."""
-        if self._crashed:
-            return
-        self._crashed = True
-        self.radio.power_off()
-
-    def restart(self, reset_state: bool = True) -> None:
-        """Bring a crashed node back; the sequence counter survives a
-        state wipe so a restarted node never reuses a message id."""
-        if not self._crashed:
-            return
-        self._crashed = False
-        if reset_state:
-            self._seen_copies = set()
-            self._accepted_ids = set()
-        self.radio.power_on()
-
-    def add_accept_listener(self, listener) -> None:
-        self._accept_listeners.append(listener)
-
-    def set_behavior(self, behavior: Optional[NodeBehavior]) -> None:
-        """Swap the behaviour policy mid-run (``None`` → correct)."""
-        self._behavior = behavior
+    def _reset_protocol_state(self) -> None:
+        super()._reset_protocol_state()
+        self._seen_copies = set()
 
     # ------------------------------------------------------------------
-    def broadcast(self, payload: bytes) -> MessageId:
+    def _on_broadcast(self, message: DataMessage) -> None:
         """Flood one copy of the message along every overlay."""
-        self._seq += 1
-        message = DataMessage.create(self.signer, self._seq, payload)
-        self._accepted_ids.add(message.msg_id)
         for index in range(self.overlay_count):
             self._seen_copies.add((message.msg_id, index))
             self._transmit(TaggedData(message=message, overlay_index=index))
-        return message.msg_id
 
-    def _on_packet(self, packet: Packet) -> None:
+    def _on_message(self, packet: Packet) -> None:
         tagged = packet.payload
         if not isinstance(tagged, TaggedData):
             return
@@ -226,24 +160,17 @@ class MultiOverlayNode:
         key = (message.msg_id, tagged.overlay_index)
         if key in self._seen_copies:
             return
-        if not message.verify(self._directory):
+        if not message.verify(self.directory):
             return
         self._seen_copies.add(key)
-        if message.msg_id not in self._accepted_ids:
-            self._accepted_ids.add(message.msg_id)
-            self.accepted.append((self._sim.now, message.msg_id.originator,
-                                  message.msg_id))
-            for listener in self._accept_listeners:
-                listener(self._node_id, message.msg_id.originator,
-                         message.payload, message.msg_id)
+        if message.msg_id not in self._delivered:
+            self._deliver(message, packet.sender)
         if (0 <= tagged.overlay_index < len(self._memberships)
                 and self._memberships[tagged.overlay_index]):
             self._transmit(tagged)
 
     def _transmit(self, tagged: TaggedData) -> None:
-        if self._behavior is not None:
-            if self._behavior.filter_outgoing(DATA, tagged.message) is None:
-                return
-        size = (_DATA_HEADER_BYTES + len(tagged.message.payload)
-                + self._directory.signature_size)
-        self.radio.send(tagged, size_bytes=size, kind=DATA)
+        self._send_data(tagged.message, wire=tagged, extra_bytes=_TAG_BYTES)
+
+    def _rewrap(self, wire: TaggedData, message: DataMessage) -> TaggedData:
+        return TaggedData(message=message, overlay_index=wire.overlay_index)

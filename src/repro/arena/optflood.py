@@ -59,6 +59,7 @@ class OptFloodNode(ArenaNode):
         self._held: Dict[MessageId, DataMessage] = {}
 
     def _reset_protocol_state(self) -> None:
+        super()._reset_protocol_state()
         # Old assessment events may still fire; the guard dicts being
         # cleared turns them into no-ops.
         self._pending = {}
@@ -78,7 +79,7 @@ class OptFloodNode(ArenaNode):
             return
         if msg_id in self._delivered:
             return  # assessment already concluded for this message
-        if not message.verify(self._directory):
+        if not message.verify(self.directory):
             return
         self._deliver(message, packet.sender)
         self._pending[msg_id] = 0

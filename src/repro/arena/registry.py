@@ -25,9 +25,15 @@ Nodes returned by a factory must implement the arena node contract::
     add_accept_listener(listener)   set_behavior(behavior)
     radio -> Radio                  crashed -> bool
     crash() / restart(reset_state=True)
+    accepted -> [(time, originator, msg_id)]
+    directory -> KeyDirectory
 
-(``crash``/``restart`` are required for chaos schedules and fuzzing;
-everything in the repo's stack, including the baselines, supports them.)
+(``crash``/``restart`` are required for chaos schedules and fuzzing; the
+conformance suite reads ``accepted`` and verifies on-air frames against
+``directory``.)  Every node in the repo gets all of this bar
+``broadcast``/``set_behavior`` from :class:`repro.core.shell.NodeShell`;
+:class:`repro.arena.base.ArenaNode` adds those two for protocols that
+flood signed DATA frames.
 """
 
 from __future__ import annotations

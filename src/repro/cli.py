@@ -9,7 +9,6 @@ Commands
 ``arena``     protocol registry: list/run/compare every registered protocol
 ``serve``     run the always-on campaign service (queue + workers + HTTP)
 ``submit``    submit a sweep spec to a running campaign service
-``bench``     benchmark artifact tools (perf-regression sentinel)
 """
 
 from __future__ import annotations
@@ -45,7 +44,6 @@ from .sim.experiment import (
 )
 from .sim.render import format_rows
 from .sim.sweeps import run_sweep
-from .telemetry.bench import METRICS as _BENCH_METRICS
 from .workloads.scenarios import AdversaryMix, ScenarioConfig
 
 __all__ = ["main", "build_parser"]
@@ -345,27 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
     submit_p.add_argument("--json", action="store_true",
                           help="print the final job document as JSON "
                                "instead of a summary line")
-
-    bench_p = sub.add_parser(
-        "bench", help="benchmark artifact tools (perf-regression "
-                      "sentinel over pytest-benchmark JSON)")
-    bench_sub = bench_p.add_subparsers(dest="bench_command", required=True)
-
-    bc_p = bench_sub.add_parser(
-        "compare", help="diff two pytest-benchmark artifacts; exit 1 "
-                        "when any benchmark regressed past the threshold")
-    bc_p.add_argument("baseline",
-                      help="baseline artifact (--benchmark-json output), "
-                           "e.g. benchmarks/results/bench_baseline.json")
-    bc_p.add_argument("current", help="current artifact to compare")
-    bc_p.add_argument("--threshold", type=float, default=20.0,
-                      metavar="PCT",
-                      help="regression tolerance in percent (default 20)")
-    bc_p.add_argument("--metric", choices=_BENCH_METRICS, default="min",
-                      help="stat to compare (default min — least noisy "
-                           "for CPU-bound benches)")
-    bc_p.add_argument("--warn-only", action="store_true",
-                      help="report regressions but always exit 0")
 
     trace_p = sub.add_parser(
         "trace", help="analyze an exported span trace (see --trace-out)")
@@ -720,36 +697,6 @@ def _serve_main(args: argparse.Namespace, out) -> int:
     return 0
 
 
-def _bench_main(args: argparse.Namespace, out) -> int:
-    """The ``repro bench`` subcommand family (regression sentinel)."""
-    from .telemetry.bench import (
-        BenchCompareError,
-        compare_artifacts,
-        format_report,
-        load_artifact,
-    )
-
-    if args.bench_command == "compare":
-        try:
-            rows = compare_artifacts(
-                load_artifact(args.baseline), load_artifact(args.current),
-                threshold_pct=args.threshold, metric=args.metric)
-        except BenchCompareError as exc:
-            print(f"bench compare failed: {exc}", file=out)
-            return 2
-        print(format_report(rows, threshold_pct=args.threshold), file=out)
-        regressions = [row for row in rows
-                       if row["status"] == "regression"]
-        if regressions and args.warn_only:
-            print("warn-only: regressions reported but exit stays 0",
-                  file=out)
-        if regressions and not args.warn_only:
-            return 1
-        return 0
-
-    raise AssertionError(f"unhandled bench command {args.bench_command!r}")
-
-
 def _submit_main(args: argparse.Namespace, out) -> int:
     """The ``repro submit`` command: POST a spec, optionally wait."""
     import json as _json
@@ -920,9 +867,6 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
 
     if args.command == "submit":
         return _submit_main(args, out)
-
-    if args.command == "bench":
-        return _bench_main(args, out)
 
     if args.command == "trace":
         return _trace_main(args, out)

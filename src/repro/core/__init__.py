@@ -23,6 +23,7 @@ from .protocol import (
     ProtocolStats,
     StaticOverlayPort,
 )
+from .shell import NodeShell
 from .store import MessageStore
 
 __all__ = [
@@ -40,6 +41,7 @@ __all__ = [
     "MessageStore",
     "NetworkNode",
     "NodeBehavior",
+    "NodeShell",
     "NodeStackConfig",
     "OverlayPort",
     "ProtocolConfig",

@@ -9,7 +9,7 @@ and the application-facing broadcast/accept interface.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from typing import Optional
 
 from ..crypto.keystore import KeyDirectory
 from ..des.kernel import Simulator
@@ -26,7 +26,6 @@ from ..radio.mac import MacConfig
 from ..radio.medium import Medium
 from ..radio.neighbors import NeighborService
 from ..radio.packet import Packet
-from ..radio.radio import Radio
 from .config import ProtocolConfig
 from .messages import MessageId
 from .protocol import (
@@ -34,6 +33,7 @@ from .protocol import (
     ManagerOverlayPort,
     NodeBehavior,
 )
+from .shell import NodeShell
 
 __all__ = ["NodeStackConfig", "NetworkNode", "make_election_rule"]
 
@@ -63,10 +63,7 @@ class NodeStackConfig:
     sign_hellos: bool = True
 
 
-AcceptRecord = Tuple[float, int, MessageId]
-
-
-class NetworkNode:
+class NetworkNode(NodeShell):
     """A complete protocol node attached to a medium."""
 
     def __init__(self, sim: Simulator, medium: Medium, node_id: int,
@@ -76,22 +73,12 @@ class NetworkNode:
                  behavior: Optional[NodeBehavior] = None,
                  force_overlay: Optional[bool] = None):
         stack = stack or NodeStackConfig()
-        self._sim = sim
-        self._node_id = node_id
+        super().__init__(sim, medium, node_id, position, tx_range, streams,
+                         directory, stack.mac)
         self._stack = stack
-        self._crashed = False
-        self.accepted: List[AcceptRecord] = []
-        self._accept_listeners: List[Callable[[int, int, bytes, MessageId],
-                                              None]] = []
-
-        signer = directory.issue(node_id)
-        self.signer = signer
-        self.directory = directory
-        self.radio = Radio(sim, medium, node_id, position, tx_range,
-                           streams.stream(f"mac:{node_id}"), stack.mac)
         hello_auth = {}
         if stack.sign_hellos:
-            hello_auth = {"signer": signer, "directory": directory}
+            hello_auth = {"signer": self.signer, "directory": directory}
         self.neighbors = NeighborService(
             sim, self.radio, streams.stream(f"hello:{node_id}"),
             hello_period=stack.hello_period, **hello_auth)
@@ -116,44 +103,28 @@ class NetworkNode:
             proto_directory = directory.caching_view(
                 stack.protocol.verify_cache_size, owner=node_id)
         self.protocol = ByzantineBroadcastProtocol(
-            sim, node_id, self.radio, proto_directory, signer,
+            sim, node_id, self.radio, proto_directory, self.signer,
             self.mute, self.verbose, self.trust,
             ManagerOverlayPort(self.overlay),
             self.neighbors.neighbors,
             streams.stream(f"proto:{node_id}"),
             stack.protocol, behavior, self._on_accept)
-        self.radio.set_receiver(self._on_packet)
 
     # ------------------------------------------------------------------
-    @property
-    def node_id(self) -> int:
-        return self._node_id
-
-    @property
-    def position(self) -> Position:
-        return self.radio.position
-
-    def start(self) -> None:
-        self.neighbors.start()
-        self.overlay.start()
-        self.protocol.start()
-
     def stop(self) -> None:
-        self.protocol.stop()
-        self.overlay.stop()
-        self.neighbors.stop()
+        """End of run: also stop the failure detectors.  ``crash`` does
+        not — deadlines armed before a crash still expire, and a
+        state-wiping restart resets the detectors instead."""
+        super().stop()
         self.mute.stop()
         self.verbose.stop()
         self.trust.stop()
 
-    # ------------------------------------------------------------------
-    # Fault injection (repro.chaos drives these)
-    # ------------------------------------------------------------------
-    @property
-    def crashed(self) -> bool:
-        return self._crashed
+    def broadcast(self, payload: bytes) -> MessageId:
+        """Application-level broadcast(p, m)."""
+        return self.protocol.broadcast(payload)
 
-    def set_behavior(self, behavior) -> None:
+    def set_behavior(self, behavior: Optional[NodeBehavior]) -> None:
         """Swap the node's behaviour policy mid-run (``None`` → correct).
 
         Everything else — pending timers, in-flight transmissions, the
@@ -161,62 +132,28 @@ class NetworkNode:
         """
         self.protocol.set_behavior(behavior)
 
-    def crash(self) -> None:
-        """Crash-fault the node: radio off, all periodic machinery halted.
-
-        Idempotent.  One-shot events already scheduled (request/serve
-        timers, MUTE deadlines) may still fire, but any transmission they
-        attempt vanishes at the powered-off radio — the same observable
-        silence a real crashed device produces.
-        """
-        if self._crashed:
-            return
-        self._crashed = True
-        self.radio.power_off()
-        self.protocol.stop()
-        self.overlay.stop()
-        self.neighbors.stop()
-
-    def restart(self, reset_state: bool = True) -> None:
-        """Bring a crashed node back.  Idempotent on a live node.
-
-        With ``reset_state`` (the default — crashed devices lose RAM) the
-        message store, recovery bookkeeping, and failure-detector counters
-        are wiped; the broadcast sequence counter survives so the node
-        never reuses a message id.
-        """
-        if not self._crashed:
-            return
-        self._crashed = False
-        if reset_state:
-            self.protocol.reset_state()
-            self.mute.reset()
-            self.verbose.reset()
-            self.trust.reset()
-        self.radio.power_on()
-        self.neighbors.start()
-        self.overlay.start()
-        self.protocol.start()
-
     # ------------------------------------------------------------------
-    def broadcast(self, payload: bytes) -> MessageId:
-        """Application-level broadcast(p, m)."""
-        return self.protocol.broadcast(payload)
-
-    def add_accept_listener(
-            self, listener: Callable[[int, int, bytes, MessageId],
-                                     None]) -> None:
-        """``listener(receiver, originator, payload, msg_id)`` on accept."""
-        self._accept_listeners.append(listener)
-
+    # NodeShell hooks
     # ------------------------------------------------------------------
     def _on_packet(self, packet: Packet) -> None:
         if self.neighbors.handle_packet(packet):
             return
         self.protocol.handle_packet(packet)
 
-    def _on_accept(self, originator: int, payload: bytes,
-                   msg_id: MessageId) -> None:
-        self.accepted.append((self._sim.now, originator, msg_id))
-        for listener in self._accept_listeners:
-            listener(self._node_id, originator, payload, msg_id)
+    def _start_protocol(self) -> None:
+        self.neighbors.start()
+        self.overlay.start()
+        self.protocol.start()
+
+    def _stop_protocol(self) -> None:
+        self.protocol.stop()
+        self.overlay.stop()
+        self.neighbors.stop()
+
+    def _reset_protocol_state(self) -> None:
+        """The message store, recovery bookkeeping and failure-detector
+        counters go; the protocol keeps its sequence counter."""
+        self.protocol.reset_state()
+        self.mute.reset()
+        self.verbose.reset()
+        self.trust.reset()

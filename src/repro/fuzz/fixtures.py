@@ -26,8 +26,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Callable, Dict, Iterator
 
-from ..arena.base import ArenaNode
-from ..core.node import NetworkNode
+from ..core.shell import NodeShell
 from ..core.store import MessageStore
 from ..sim.experiment import ExperimentConfig, ExperimentResult, \
     run_experiment
@@ -41,12 +40,11 @@ __all__ = ["RUNNERS", "SABOTAGED_NODE_CLASSES", "runner",
 #: within a process, so a plain module flag suffices).
 _PURGE_GATE = {"armed": False}
 
-#: Node classes the planted bugs are wired into.  ``ArenaNode``
-#: deliberately mirrors ``NetworkNode``'s ``restart``/``_on_accept``
-#: seams, so patching the two bases sabotages the paper's stack *and*
-#: every arena rival (dolev/optflood/maurer_tixeuil) through one point —
-#: the fuzzer finds the same planted bodies whichever protocol it drives.
-SABOTAGED_NODE_CLASSES = (NetworkNode, ArenaNode)
+#: Node classes the planted bugs are wired into.  Every node is a
+#: ``NodeShell`` and none overrides its ``restart``/``_on_accept``, so
+#: one patch point sabotages every registered protocol — the fuzzer
+#: finds the same planted bodies whichever protocol it drives.
+SABOTAGED_NODE_CLASSES = (NodeShell,)
 
 
 @contextmanager

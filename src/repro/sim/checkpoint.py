@@ -59,7 +59,9 @@ __all__ = [
 #: v5: ``Span``/``TraceEvent`` are slotted classes with tuple state and
 #: the recorder derives its ``span`` events from the context instead of
 #: holding a copy; a v4 *observed* snapshot has neither shape.
-CHECKPOINT_VERSION = 5
+#: v6: ``repro.baselines`` is gone (its node classes moved to
+#: ``repro.arena`` and keep ``_delivered`` where they had ``_seen``).
+CHECKPOINT_VERSION = 6
 
 
 class CheckpointError(RuntimeError):

@@ -8,10 +8,10 @@ The repo has two clocks and keeps them strictly apart:
   and resume).
 * :mod:`repro.telemetry` (this package) observes **wall-clock time** —
   process-level counters/gauges/histograms for the campaign service,
-  structured JSON logs, per-run resource accounting, and the
-  pytest-benchmark regression sentinel.  Its numbers are host-dependent
-  by definition and therefore *never* participate in byte-identity
-  comparisons, ``config_key`` hashes, or anything a simulation reads.
+  structured JSON logs and per-run resource accounting.  Its numbers
+  are host-dependent by definition and therefore *never* participate in
+  byte-identity comparisons, ``config_key`` hashes, or anything a
+  simulation reads.
 
 Pieces:
 
@@ -25,16 +25,11 @@ Pieces:
 * :mod:`repro.telemetry.runtime` — the ``runtime`` block campaign
   records carry (wall seconds, peak RSS, kernel events/sec) and its
   sweep aggregation / stripping helpers.
-* :mod:`repro.telemetry.bench` — ``repro bench compare``: diff two
-  pytest-benchmark artifacts and fail on planted regressions.
+
+Comparing two benchmark runs is ``python -m bench compare`` (the repo
+benchmark's own comparer, bounds from ``BENCHMARK.json``).
 """
 
-from .bench import (
-    BenchCompareError,
-    compare_artifacts,
-    format_report,
-    load_artifact,
-)
 from .log import JsonFormatter, bound, configure, current_fields, event, get_logger
 from .metrics import (
     Counter,
@@ -48,7 +43,6 @@ from .metrics import (
 from .runtime import merge_runtime, peak_rss_kb, runtime_block, strip_runtime
 
 __all__ = [
-    "BenchCompareError",
     "Counter",
     "ExpositionError",
     "Gauge",
@@ -56,13 +50,10 @@ __all__ = [
     "JsonFormatter",
     "TelemetryRegistry",
     "bound",
-    "compare_artifacts",
     "configure",
     "current_fields",
     "event",
-    "format_report",
     "get_logger",
-    "load_artifact",
     "merge_runtime",
     "parse_exposition",
     "peak_rss_kb",

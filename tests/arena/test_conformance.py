@@ -5,7 +5,8 @@ Every test here is parametrized over every registered protocol (via the
 this whole contract for free:
 
 * **Safety**: fault-free completeness, no forgery under forging
-  adversaries, structural at-most-once / agreement on delivered
+  adversaries (whose on-air frames a spy cannot verify), deaf nodes
+  accept nothing, structural at-most-once / agreement on delivered
   payloads.
 * **Liveness**: full delivery with ``mute_tolerance(n)`` Byzantine-mute
   nodes on topologies whose correct subgraph supports it.
@@ -14,8 +15,13 @@ this whole contract for free:
   all byte-identical at the campaign-record level.
 * **Chaos**: a crash/restart/mute timeline applies cleanly (the adapter
   honours the controller's node contract) and stays deterministic.
+* **Observability**: an observed run carries ``origin``/``sign``/
+  ``deliver`` spans that add up to the accept records.
 """
 
+import hashlib
+import json
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -24,6 +30,9 @@ from hypothesis import strategies as st
 
 import repro.arena as arena
 from repro.chaos import FaultEvent, FaultSchedule
+from repro.core.messages import DATA, DataMessage
+from repro.obs import ObsConfig
+from repro.radio.medium import MediumObserver
 from repro.sim import (
     CheckpointConfig,
     build_world,
@@ -75,6 +84,52 @@ def test_no_forgery_under_forging_adversary(protocol, cached_run):
     kinds = {violation["invariant"] for violation in result.violations}
     assert "forged_payload" not in kinds
     assert result.invariant_violations == 0
+
+
+class _DataSpy(MediumObserver):
+    """A receiver outside the protocol: verifies every DATA frame the
+    watched senders put on the air, envelope or not."""
+
+    def __init__(self, senders, directory):
+        self.senders = senders
+        self.directory = directory
+        self.verified = []
+
+    def on_transmit(self, sender, packet):
+        if sender in self.senders and packet.kind == DATA:
+            inner = packet.payload
+            if not isinstance(inner, DataMessage):
+                inner = inner.message   # TaggedData / DolevData envelopes
+            self.verified.append(inner.verify(self.directory))
+
+
+def test_forging_relays_put_unverifiable_frames_on_the_air(protocol):
+    """The behaviour policy's mutated copy is what is transmitted — under
+    every protocol, envelope protocols included (multi_overlay used to
+    filter the copy and then send the original, i.e. not forge at all) —
+    and still nobody delivers a forged payload."""
+    config = arena_config(protocol, adversaries=AdversaryMix.forging(3))
+    world = build_world(config)
+    spy = _DataSpy(set(world.assignment), world.nodes[0].directory)
+    world.medium.add_observer(spy)
+    result = finish_world(world)
+    assert spy.verified, "no forging node relayed anything"
+    assert not any(spy.verified)
+    kinds = {violation["invariant"] for violation in result.violations}
+    assert "forged_payload" not in kinds
+
+
+def test_deaf_nodes_accept_nothing(protocol):
+    """``intercept_incoming`` guards every protocol's receive path (the
+    hand-rolled baselines never called it: deaf nodes accepted 2/2)."""
+    config = arena_config(protocol,
+                          adversaries=AdversaryMix(counts={"deaf": 3}))
+    world = build_world(config)
+    finish_world(world)
+    assert len(world.assignment) == 3
+    for node_id in world.assignment:
+        assert world.nodes[node_id].accepted == []
+    assert any(world.nodes[node_id].accepted for node_id in world.correct)
 
 
 def test_at_most_once_and_agreement(protocol):
@@ -234,3 +289,52 @@ def test_crash_restart_contract(protocol):
     # must never reuse a message id.
     second = node.broadcast(b"after-restart")
     assert first != second
+
+
+# ----------------------------------------------------------------------
+# Observability (lifecycle spans exist for every protocol)
+# ----------------------------------------------------------------------
+LIFECYCLE = ("origin", "sign", "deliver")
+
+#: sha256[:16] of ``json.dumps(result.trace, sort_keys=True)`` for the
+#: observed fault-free conformance run, taken on the commit before the
+#: node lifecycles were merged into ``NodeShell``: that refactor must not
+#: move a byte of these four traces.
+TRACE_PINS = {
+    "byzcast": "1dcd92479c08f48d",
+    "dolev": "72e22c2910df0d2d",
+    "optflood": "460521b8cbca96cc",
+    "maurer_tixeuil": "17cd70429d72384a",
+}
+
+#: The three baselines emitted no lifecycle spans before they became
+#: ``ArenaNode`` subclasses; everything else they emit — the
+#: ``(phase, time, node, msg)`` list minus ``LIFECYCLE`` — is pinned to
+#: the same commit.
+CORE_SPAN_PINS = {
+    "flooding": "978d041bba77aa23",
+    "overlay_only": "629867445662b213",
+    "multi_overlay": "89be1e85c6755990",
+}
+
+
+def _sha(value, **kwargs) -> str:
+    return hashlib.sha256(
+        json.dumps(value, **kwargs).encode()).hexdigest()[:16]
+
+
+def test_observed_run_has_lifecycle_spans(protocol):
+    world = build_world(arena_config(protocol, observe=ObsConfig()))
+    result = finish_world(world)
+    spans = world.obs.spans
+    phases = Counter(span.phase for span in spans)
+    assert phases["origin"] == phases["sign"] == result.broadcasts
+    assert phases["deliver"] == sum(len(node.accepted)
+                                    for node in world.nodes)
+    if protocol in TRACE_PINS:
+        assert _sha(result.trace, sort_keys=True) == TRACE_PINS[protocol]
+    if protocol in CORE_SPAN_PINS:
+        core = [(span.phase, span.time, span.node,
+                 list(span.msg) if span.msg else None)
+                for span in spans if span.phase not in LIFECYCLE]
+        assert _sha(core) == CORE_SPAN_PINS[protocol]

@@ -17,6 +17,7 @@ from repro.adversary.policies import (
     RequestFloodAttacker,
     make_behavior,
 )
+from repro.chaos import FaultEvent, FaultSchedule
 from repro.core.messages import (
     DATA,
     FIND_MISSING_MSG,
@@ -26,6 +27,8 @@ from repro.core.messages import (
 )
 from repro.crypto.keystore import HmacScheme, KeyDirectory
 from repro.des.random import RandomStream
+from repro.sim import ExperimentConfig, build_world, finish_world
+from repro.workloads.scenarios import AdversaryMix, ScenarioConfig
 
 
 @pytest.fixture
@@ -145,6 +148,24 @@ class TestFactory:
     def test_rng_required_where_needed(self):
         with pytest.raises(ValueError):
             make_behavior("forging")
+
+    def test_impersonation_without_victim_names_the_parameter(self):
+        """A scenario or chaos event that asks for ``impersonation``
+        without a victim is refused by name, not with a TypeError from
+        deep inside the behaviour's constructor."""
+        with pytest.raises(ValueError, match="victim_id"):
+            make_behavior("impersonation", RandomStream(1))
+        with pytest.raises(ValueError, match="victim_id"):
+            build_world(ExperimentConfig(scenario=ScenarioConfig(
+                n=10, seed=3,
+                adversaries=AdversaryMix(counts={"impersonation": 1}))))
+        world = build_world(ExperimentConfig(
+            scenario=ScenarioConfig(n=10, seed=3), message_count=1,
+            chaos=FaultSchedule(events=(FaultEvent(
+                time=0.5, node=4, action="behavior",
+                params={"kind": "impersonation"}),))))
+        with pytest.raises(ValueError, match="victim_id"):
+            finish_world(world)
 
 
 class TestActiveAttackers:

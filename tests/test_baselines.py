@@ -12,7 +12,7 @@ import pytest
 
 import repro.arena as arena
 from repro.adversary.behaviors import MuteBehavior
-from repro.baselines.multi_overlay import (
+from repro.arena.multi_overlay import (
     build_independent_overlays,
     greedy_connected_dominating_set,
 )

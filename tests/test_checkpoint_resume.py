@@ -240,26 +240,35 @@ def test_version_mismatch_is_refused_and_run_restarts(tmp_path):
 
 def test_snapshot_of_removed_class_is_refused_and_run_restarts(
         tmp_path, monkeypatch):
-    """A snapshot written before ``repro.radio.grid`` was deleted may
-    pickle its index class: the old version number and the failed
-    import must both read as "no usable checkpoint", never a crash."""
+    """A snapshot written before a module was deleted may pickle one of
+    its classes — ``repro.radio.grid``'s index (format 3), a
+    ``repro.baselines`` node (format 5; the classes now live in
+    ``repro.arena``, with no alias left behind).  The old version number
+    and the failed import must both read as "no usable checkpoint",
+    never a crash."""
     config = base_config()
     ck = replace(config, checkpoint=CheckpointConfig(
         every=1.0, directory=str(tmp_path)))
     baseline = canonical(config, run_experiment(config))
 
-    gone = types.ModuleType("repro.radio.grid")
-    gone.Index = type("Index", (), {"__module__": gone.__name__})
-    monkeypatch.setitem(sys.modules, gone.__name__, gone)
-    path = checkpoint_path(str(tmp_path), config_key(ck))
-    with open(path, "wb") as handle:
-        pickle.dump({"version": 3,
-                     "key": config_key(ck), "world": gone.Index()}, handle)
-    monkeypatch.delitem(sys.modules, gone.__name__)
+    for module, name, version, missing in (
+            ("repro.radio.grid", "Index", 3, "repro.radio.grid"),
+            ("repro.baselines.flooding", "FloodingNode", 5,
+             "repro.baselines")):
+        assert version < CHECKPOINT_VERSION
+        gone = types.ModuleType(module)
+        setattr(gone, name, type(name, (), {"__module__": module}))
+        path = checkpoint_path(str(tmp_path), config_key(ck))
+        with monkeypatch.context() as patch:
+            patch.setitem(sys.modules, module, gone)
+            with open(path, "wb") as handle:
+                pickle.dump({"version": version, "key": config_key(ck),
+                             "world": getattr(gone, name)()}, handle)
 
-    with pytest.raises(CheckpointError, match="repro.radio.grid"):
-        load_checkpoint(path)
-    assert canonical(ck, run_experiment(ck)) == baseline
+        with pytest.raises(CheckpointError, match=missing):
+            load_checkpoint(path)
+        assert canonical(ck, run_experiment(ck)) == baseline
+        assert latest_checkpoint(str(tmp_path), config_key(ck)) is None
 
 
 def test_v4_observed_snapshot_is_refused_and_run_restarts(

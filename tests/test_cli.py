@@ -227,6 +227,22 @@ class TestObservabilityOptions:
         assert code == 0
         assert "valid trace_event document" in output
 
+    def test_trace_commands_read_a_baseline_run(self, tmp_path):
+        """Every protocol emits origin/sign/deliver spans, so the trace
+        analyzers work on the comparators too (flooding used to report
+        "0 deliveries of 0 messages" on a run that delivered 100 %)."""
+        trace = str(tmp_path / "flooding.jsonl")
+        code, _ = run_cli(["run", "--protocol", "flooding", "--n", "14",
+                           "--messages", "2", "--seed", "3",
+                           "--trace-out", trace])
+        assert code == 0
+        code, output = run_cli(["trace", "latency", trace])
+        assert code == 0
+        assert output.startswith("26 deliveries of 2 messages")
+        code, output = run_cli(["trace", "path", "0:1", trace])
+        assert code == 0
+        assert output.startswith("0:1: originated by node 0")
+
     def test_trace_validate_rejects_garbage(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"traceEvents": [{"ph": "Z"}]}')
