@@ -172,7 +172,7 @@ def register_builtin_protocols() -> None:
     """Idempotently (re-)register everything the repo ships."""
     register_protocol(
         "byzcast", build_byzcast, provenance="builtin", replace=True,
-        overlay=True, rich_tracing=True,
+        overlay=True,
         mute_tolerance=_tolerance_byzcast,
         description="The paper's protocol: Byzantine-resilient overlay + "
                     "gossip + recovery + failure detectors.")

@@ -102,12 +102,9 @@ class ProtocolSpec:
     #: to every correct node.  The conformance liveness test runs exactly
     #: at this threshold; 0 claims fault-free delivery only.
     mute_tolerance: Callable[[int], int] = _default_tolerance
-    #: The protocol elects/maintains an overlay the quality snapshot and
-    #: recorder taps understand (byzcast / overlay_only style nodes).
+    #: The protocol elects/maintains an overlay the quality snapshot
+    #: understands (byzcast / overlay_only style nodes).
     overlay: bool = False
-    #: Nodes carry the full FD/overlay seams ``TraceRecorder.attach_node``
-    #: hooks (currently only the paper's stack).
-    rich_tracing: bool = False
     #: Where the implementation came from (reporting only).
     provenance: str = "builtin"
 
@@ -130,7 +127,6 @@ def register_protocol(name: str, factory: NodeFactory, *,
                       mute_tolerance: Callable[[int], int]
                       = _default_tolerance,
                       overlay: bool = False,
-                      rich_tracing: bool = False,
                       provenance: str = "external",
                       replace: bool = False) -> ProtocolSpec:
     """Register a protocol under ``name``; returns its spec.
@@ -141,7 +137,7 @@ def register_protocol(name: str, factory: NodeFactory, *,
     """
     spec = ProtocolSpec(name=name, factory=factory, description=description,
                         mute_tolerance=mute_tolerance, overlay=overlay,
-                        rich_tracing=rich_tracing, provenance=provenance)
+                        provenance=provenance)
     if not replace and name in _REGISTRY:
         raise ValueError(f"protocol {name!r} is already registered "
                          f"(pass replace=True to shadow it)")

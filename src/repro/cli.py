@@ -155,12 +155,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--observe", action="store_true",
                        help="record causal lifecycle spans and virtual-time "
                             "metric series (see `repro trace`)")
-        p.add_argument("--trace-out", metavar="FILE.jsonl", default=None,
-                       help="write the span trace as JSONL "
-                            "(implies --observe)")
-        p.add_argument("--metrics-out", metavar="FILE.csv", default=None,
-                       help="write the sampled metric series as CSV "
-                            "(implies --observe)")
         p.add_argument("--tier", choices=TIERS, default="packet",
                        help="simulation tier: 'packet' (discrete-event) "
                             "or 'fluid' (calibrated mean-field model, "
@@ -178,8 +172,19 @@ def build_parser() -> argparse.ArgumentParser:
                             "on k+1 vouching neighbours (default 1 under "
                             "declared faults, else 0)")
 
+    def add_output_args(p: argparse.ArgumentParser) -> None:
+        """Trace/series files: only the single-run commands have one
+        trace to write."""
+        p.add_argument("--trace-out", metavar="FILE.jsonl", default=None,
+                       help="write the span trace as JSONL "
+                            "(implies --observe)")
+        p.add_argument("--metrics-out", metavar="FILE.csv", default=None,
+                       help="write the sampled metric series as CSV "
+                            "(implies --observe)")
+
     run_p = sub.add_parser("run", help="run one experiment")
     add_scenario_args(run_p)
+    add_output_args(run_p)
     run_p.add_argument("--protocol", choices=arena.available_protocols(),
                        default="byzcast")
 
@@ -287,6 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
         "run", help="run one registered protocol (same knobs as "
                     "`repro run`)")
     add_scenario_args(ar_p)
+    add_output_args(ar_p)
     ar_p.add_argument("--protocol", choices=arena.available_protocols(),
                       required=True)
 
@@ -498,6 +504,22 @@ def _print_report(result, out, *, oracle: bool = False) -> None:
                   file=out)
 
 
+def _run_main(args: argparse.Namespace, out) -> int:
+    """``repro run`` and ``repro arena run``: one experiment, its report,
+    and the optional trace/series files."""
+    config = _config_from(args, args.protocol, _scenario_from(args))
+    result = run_experiment(config)
+    _print_report(result, out, oracle=config.oracle is not None)
+    if result.trace is not None and args.trace_out:
+        count = write_trace(result.trace, args.trace_out)
+        print(f"trace: {count} spans -> {args.trace_out}", file=out)
+    if result.trace is not None and args.metrics_out:
+        rows = series_to_csv(result.trace.get("series", {}),
+                             args.metrics_out)
+        print(f"metrics: {rows} samples -> {args.metrics_out}", file=out)
+    return 0
+
+
 def _fuzz_main(args: argparse.Namespace, out) -> int:
     """The ``repro fuzz`` subcommand family (schedule fuzzing)."""
     import json as _json
@@ -608,7 +630,6 @@ def _arena_main(args: argparse.Namespace, out) -> int:
                 "provenance": spec.provenance,
                 f"mute_tol(n={args.n})": spec.mute_tolerance(args.n),
                 "overlay": "yes" if spec.overlay else "-",
-                "tracing": "rich" if spec.rich_tracing else "basic",
             })
         print(format_rows(rows), file=out)
         for spec in arena.protocol_specs():
@@ -619,10 +640,7 @@ def _arena_main(args: argparse.Namespace, out) -> int:
         return 0
 
     if args.arena_command == "run":
-        config = _config_from(args, args.protocol, _scenario_from(args))
-        result = run_experiment(config)
-        _print_report(result, out, oracle=config.oracle is not None)
-        return 0
+        return _run_main(args, out)
 
     if args.arena_command == "compare":
         if args.protocols:
@@ -875,18 +893,7 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
         return _fuzz_main(args, out)
 
     if args.command == "run":
-        config = _config_from(args, args.protocol, _scenario_from(args))
-        result = run_experiment(config)
-        _print_report(result, out, oracle=config.oracle is not None)
-        if result.trace is not None and args.trace_out:
-            count = write_trace(result.trace, args.trace_out)
-            print(f"trace: {count} spans -> {args.trace_out}", file=out)
-        if result.trace is not None and args.metrics_out:
-            rows = series_to_csv(result.trace.get("series", {}),
-                                 args.metrics_out)
-            print(f"metrics: {rows} samples -> {args.metrics_out}",
-                  file=out)
-        return 0
+        return _run_main(args, out)
 
     if args.command == "compare":
         configs = [_config_from(args, protocol, _scenario_from(args))

@@ -6,15 +6,20 @@ Three pieces, all deterministic and zero-cost when disabled:
   derived from ``(message_id, node, occurrence)``, collected by the
   process-wide :data:`ACTIVE` context the instrumented seams consult
   (the :mod:`repro.profiling` pattern);
-* :mod:`repro.obs.registry` / :mod:`repro.obs.sampler` — named
-  counters/gauges/histograms plus a virtual-time metric sampler feeding
-  time series into campaign records;
+* :mod:`repro.obs.registry` / :mod:`repro.obs.sampler` — a
+  virtual-time metric sampler feeding time series into campaign records
+  (the per-phase ``spans.<phase>`` tallies ride beside them);
 * :mod:`repro.obs.export` / :mod:`repro.obs.analyze` — JSONL / CSV /
   Chrome ``trace_event`` exporters and the causal-path, latency-bound
   and timeline analyzers behind the ``repro trace`` CLI.
 
 Enable per experiment with ``ExperimentConfig(observe=ObsConfig())`` or
-``repro run --observe --trace-out trace.jsonl``.
+``repro run --observe --trace-out trace.jsonl``.  The span stream is an
+observed run's only event stream: ``result.trace``, ``--trace-out``,
+``repro trace`` and campaign records all read it, and oracle violations
+point into it by span id.  :class:`repro.tracing.TraceRecorder` is a
+separate, standalone tap recorder for hand-built networks; wall-clock
+Counter/Gauge/Histogram instruments live in :mod:`repro.telemetry.metrics`.
 """
 
 from .analyze import (causal_chain, latency_report, message_ids, parse_msg,
@@ -30,8 +35,7 @@ from .coverage import CoverageMap, bucketize, trace_coverage
 # ``obs.ACTIVE``; external callers use :func:`active`.
 from .export import (chrome_trace, load_trace, series_to_csv,
                      validate_chrome, write_chrome, write_trace)
-from .registry import (Counter, Gauge, Histogram, MetricRegistry,
-                       merge_payloads)
+from .registry import MetricRegistry, merge_payloads
 from .sampler import MetricSampler
 
 __all__ = [
@@ -46,10 +50,7 @@ __all__ = [
     "msg_of",
     "msg_key",
     "span_id",
-    "Counter",
     "CoverageMap",
-    "Gauge",
-    "Histogram",
     "bucketize",
     "trace_coverage",
     "MetricRegistry",

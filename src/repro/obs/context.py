@@ -28,7 +28,7 @@ from time import perf_counter
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from .. import profiling
-from .registry import Counter, MetricRegistry
+from .registry import MetricRegistry
 
 __all__ = [
     "PHASES",
@@ -73,7 +73,7 @@ PHASES = (
     "fd_indict",    # VERBOSE indictment registered
 )
 
-#: Metric-registry counter namespace for per-phase span tallies.
+#: Counter namespace for per-phase span tallies in the exported payload.
 _PHASE_COUNTER_PREFIX = "spans."
 
 
@@ -134,10 +134,6 @@ class ObsConfig:
     #: Attach the span dicts to ``ExperimentResult.trace`` (the metric
     #: series always travels; spans can be bulky for big campaigns).
     spans_in_result: bool = True
-    #: Categories for the :class:`~repro.tracing.TraceRecorder` whose
-    #: stream the experiment runner merges spans into (``None`` = the
-    #: observability set: span, metric, chaos, violation, checkpoint).
-    categories: Optional[Tuple[str, ...]] = None
 
     def __post_init__(self) -> None:
         if self.sample_period <= 0:
@@ -169,22 +165,18 @@ class Span:
     ``seq`` is the context-wide emission index: a monotonic total order
     that survives export/re-import even when many spans share a virtual
     timestamp.  ``duration`` is non-zero only for phases with extent
-    (``tx`` airtime, ``backoff`` windows).  ``stream_seq`` is the span's
-    position in the attached :class:`~repro.tracing.TraceRecorder`'s
-    merged stream (0 = not part of it); it is the recorder's bookkeeping,
-    not part of the span's value — ``==`` and :meth:`to_dict` ignore it.
+    (``tx`` airtime, ``backoff`` windows).
 
     A hand-written ``__slots__`` class: tens of thousands are built per
     observed run, each exactly once (in :meth:`ObsContext.span`).
     """
 
     __slots__ = ("seq", "span_id", "time", "phase", "node", "msg",
-                 "duration", "detail", "stream_seq")
+                 "duration", "detail")
 
     def __init__(self, seq: int, span_id: str, time: float, phase: str,
                  node: int, msg: Optional[Tuple[int, int]],
-                 duration: float, detail: Dict[str, Any],
-                 stream_seq: int = 0):
+                 duration: float, detail: Dict[str, Any]):
         self.seq = seq
         self.span_id = span_id
         self.time = time
@@ -193,7 +185,6 @@ class Span:
         self.msg = msg
         self.duration = duration
         self.detail = detail
-        self.stream_seq = stream_seq
 
     def _value(self) -> Tuple[Any, ...]:
         return (self.seq, self.span_id, self.time, self.phase, self.node,
@@ -211,11 +202,11 @@ class Span:
                 f"duration={self.duration!r}, detail={self.detail!r})")
 
     def __getstate__(self):
-        return self._value() + (self.stream_seq,)
+        return self._value()
 
     def __setstate__(self, state):
         (self.seq, self.span_id, self.time, self.phase, self.node,
-         self.msg, self.duration, self.detail, self.stream_seq) = state
+         self.msg, self.duration, self.detail) = state
 
     def to_dict(self) -> Dict[str, Any]:
         """Flat export form.  ``time`` is *not* rounded: rounding would
@@ -251,11 +242,9 @@ class ObsContext:
         self._phase_filter = (frozenset(config.phases)
                               if config.phases is not None else None)
         self.registry = MetricRegistry()
-        #: phase -> its ``spans.<phase>`` registry counter, by reference:
-        #: the per-span tally is one dict probe and an add.
-        self._phase_counters: Dict[str, Counter] = {}
+        #: phase -> spans recorded in it (exported as ``spans.<phase>``).
+        self._phase_counts: Dict[str, int] = {}
         self.meta: Dict[str, Any] = {}
-        self._recorder = None
         self._sampler = None
 
     # ------------------------------------------------------------------
@@ -263,28 +252,10 @@ class ObsContext:
     def config(self) -> ObsConfig:
         return self._config
 
-    @property
-    def recorder(self):
-        """The attached :class:`~repro.tracing.TraceRecorder`, if any."""
-        return self._recorder
-
     def bind(self, sim) -> None:
         """Point the context at the simulator clock (timestamps come from
         virtual time only)."""
         self._sim = sim
-
-    def attach_recorder(self, recorder) -> None:
-        """Make a :class:`~repro.tracing.TraceRecorder`'s stream the
-        merged one: every span from now on reserves its place in it
-        (category ``span``; the recorder derives the event from the span
-        when the stream is read) and every metric sample is recorded
-        into it (category ``metric``), so both interleave with
-        chaos/violation/checkpoint events.  One context feeds one
-        recorder."""
-        if self._recorder is not None and self._recorder is not recorder:
-            raise ValueError("context already feeds another recorder")
-        recorder.adopt_spans(self)
-        self._recorder = recorder
 
     def attach_sampler(self, sampler) -> None:
         """Adopt the periodic metric sampler so :meth:`stop` can halt it."""
@@ -323,15 +294,10 @@ class ObsContext:
             self.dropped += 1
             return sid
         self._seq += 1
-        recorder = self._recorder
         spans.append(Span(self._seq, sid, self._sim.now, phase, node, msg,
-                          duration, detail,
-                          0 if recorder is None else recorder.reserve("span")))
-        counter = self._phase_counters.get(phase)
-        if counter is None:
-            counter = self._phase_counters[phase] = self.registry.counter(
-                _PHASE_COUNTER_PREFIX + phase)
-        counter.value += 1
+                          duration, detail))
+        counts = self._phase_counts
+        counts[phase] = counts.get(phase, 0) + 1
         return sid
 
     def last_span_id(self, node: int,
@@ -353,6 +319,12 @@ class ObsContext:
     def span_dicts(self) -> List[Dict[str, Any]]:
         return [span.to_dict() for span in self.spans]
 
+    def counters(self) -> Dict[str, int]:
+        """The per-phase span tallies as ``spans.<phase>`` counters,
+        sorted by name."""
+        return {_PHASE_COUNTER_PREFIX + phase: count
+                for phase, count in sorted(self._phase_counts.items())}
+
     def export_payload(self) -> Dict[str, Any]:
         """The ``ExperimentResult.trace`` payload: run metadata, the span
         stream (unless suppressed by config), the sampled metric series
@@ -371,16 +343,16 @@ class ObsContext:
             "span_count": len(self.spans),
             "dropped_spans": self.dropped,
             "series": self.registry.series_dict(),
-            "counters": self.registry.snapshot()["counters"],
+            "counters": self.counters(),
         }
         if self._config.spans_in_result:
             payload["spans"] = self.span_dicts()
         return payload
 
     # ------------------------------------------------------------------
-    # Pickling: drop nothing — the recorder taps and sampler are already
-    # picklable classes; the default protocol just works.  Defined
-    # explicitly only to document the contract.
+    # Pickling: drop nothing — the sampler is already a picklable class;
+    # the default protocol just works.  Defined explicitly only to
+    # document the contract.
     # ------------------------------------------------------------------
     def __getstate__(self):
         return self.__dict__

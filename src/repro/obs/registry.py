@@ -1,155 +1,30 @@
-"""Metric registry: counters, gauges, histograms and sampled series.
+"""Sampled metric series and the sweep-level payload merge.
 
-Aggregate instruments complement the span stream: a
-:class:`MetricRegistry` holds named counters/gauges/histograms plus the
-virtual-time series produced by the periodic sampler
-(:class:`repro.obs.MetricSampler`).  Everything is plain picklable state
-— no locks, no wall clock — so a registry checkpoints and resumes with
-the experiment world and its exports stay byte-identical across worker
-counts and media.
+A :class:`MetricRegistry` holds the virtual-time series produced by the
+periodic sampler (:class:`repro.obs.MetricSampler`): one timestamp and
+one row of values per tick.  It is plain picklable state — no locks, no
+wall clock — so it checkpoints and resumes with the experiment world and
+its exports stay byte-identical across worker counts and media.  The
+wall-clock Counter/Gauge/Histogram instruments live in
+:mod:`repro.telemetry.metrics`.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional
 
-__all__ = ["Counter", "Gauge", "Histogram", "MetricRegistry",
-           "merge_payloads"]
-
-
-class Counter:
-    """A monotonically increasing count."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str):
-        self.name = name
-        self.value = 0
-
-    def inc(self, amount: int = 1) -> None:
-        self.value += amount
-
-    def __getstate__(self):
-        return (self.name, self.value)
-
-    def __setstate__(self, state):
-        self.name, self.value = state
-
-
-class Gauge:
-    """A point-in-time value (last write wins)."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str):
-        self.name = name
-        self.value = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = value
-
-    def __getstate__(self):
-        return (self.name, self.value)
-
-    def __setstate__(self, state):
-        self.name, self.value = state
-
-
-#: Default histogram bucket upper bounds (seconds-ish scale; the last
-#: implicit bucket is +inf).
-DEFAULT_BOUNDS = (0.01, 0.05, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 30.0)
-
-
-class Histogram:
-    """Fixed-bucket histogram with exact count/sum/min/max."""
-
-    __slots__ = ("name", "bounds", "counts", "count", "total",
-                 "min_value", "max_value")
-
-    def __init__(self, name: str,
-                 bounds: Sequence[float] = DEFAULT_BOUNDS):
-        ordered = tuple(bounds)
-        if list(ordered) != sorted(ordered) or len(set(ordered)) != len(ordered):
-            raise ValueError("histogram bounds must be strictly increasing")
-        self.name = name
-        self.bounds = ordered
-        self.counts = [0] * (len(ordered) + 1)  # last bucket = +inf
-        self.count = 0
-        self.total = 0.0
-        self.min_value: Optional[float] = None
-        self.max_value: Optional[float] = None
-
-    def add(self, value: float) -> None:
-        index = len(self.bounds)
-        for i, bound in enumerate(self.bounds):
-            if value <= bound:
-                index = i
-                break
-        self.counts[index] += 1
-        self.count += 1
-        self.total += value
-        if self.min_value is None or value < self.min_value:
-            self.min_value = value
-        if self.max_value is None or value > self.max_value:
-            self.max_value = value
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-    def buckets(self) -> List[Tuple[Optional[float], int]]:
-        """``(upper_bound, count)`` pairs; the final bound is ``None``
-        (+inf)."""
-        uppers: List[Optional[float]] = list(self.bounds) + [None]
-        return list(zip(uppers, self.counts))
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {"count": self.count, "sum": self.total, "mean": self.mean,
-                "min": self.min_value, "max": self.max_value,
-                "bounds": list(self.bounds), "counts": list(self.counts)}
-
-    def __getstate__(self):
-        return (self.name, self.bounds, self.counts, self.count,
-                self.total, self.min_value, self.max_value)
-
-    def __setstate__(self, state):
-        (self.name, self.bounds, self.counts, self.count,
-         self.total, self.min_value, self.max_value) = state
+__all__ = ["MetricRegistry", "merge_payloads"]
 
 
 class MetricRegistry:
-    """Named instruments plus the sampled time series."""
+    """The sampled time series of one observed run."""
 
     def __init__(self):
-        self._counters: Dict[str, Counter] = {}
-        self._gauges: Dict[str, Gauge] = {}
-        self._histograms: Dict[str, Histogram] = {}
         #: Sample timestamps (virtual time), one per sampler tick.
         self.sample_times: List[float] = []
         #: Column name -> one value per sampler tick.
         self.series: Dict[str, List[float]] = {}
 
-    # ------------------------------------------------------------------
-    def counter(self, name: str) -> Counter:
-        instrument = self._counters.get(name)
-        if instrument is None:
-            instrument = self._counters[name] = Counter(name)
-        return instrument
-
-    def gauge(self, name: str) -> Gauge:
-        instrument = self._gauges.get(name)
-        if instrument is None:
-            instrument = self._gauges[name] = Gauge(name)
-        return instrument
-
-    def histogram(self, name: str,
-                  bounds: Sequence[float] = DEFAULT_BOUNDS) -> Histogram:
-        instrument = self._histograms.get(name)
-        if instrument is None:
-            instrument = self._histograms[name] = Histogram(name, bounds)
-        return instrument
-
-    # ------------------------------------------------------------------
     def record_sample(self, time: float,
                       values: Dict[str, float]) -> None:
         """Append one sampler tick.  Columns are kept rectangular: a key
@@ -162,7 +37,6 @@ class MetricRegistry:
             if column is None:
                 column = self.series[key] = [0.0] * ticks
             column.append(value)
-            self._gauges.setdefault(key, Gauge(key)).set(value)
         for key, column in self.series.items():
             if len(column) <= ticks:
                 column.append(0.0)
@@ -173,17 +47,6 @@ class MetricRegistry:
         for key in sorted(self.series):
             out[key] = list(self.series[key])
         return out
-
-    def snapshot(self) -> Dict[str, Any]:
-        """Point-in-time dump of every instrument, sorted by name."""
-        return {
-            "counters": {name: c.value
-                         for name, c in sorted(self._counters.items())},
-            "gauges": {name: g.value
-                       for name, g in sorted(self._gauges.items())},
-            "histograms": {name: h.to_dict()
-                           for name, h in sorted(self._histograms.items())},
-        }
 
 
 def merge_payloads(payloads: Iterable[Dict[str, Any]]

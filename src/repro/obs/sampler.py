@@ -112,8 +112,4 @@ class MetricSampler:
             values["energy_tx_joules"] = summary["tx_joules"]
             values["energy_rx_joules"] = summary["rx_joules"]
 
-        registry = self._context.registry
-        registry.record_sample(self._sim.now, values)
-        recorder = self._context.recorder
-        if recorder is not None:
-            recorder.record("metric", -1, **values)
+        self._context.registry.record_sample(self._sim.now, values)

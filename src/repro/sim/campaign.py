@@ -19,7 +19,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import logging
-import multiprocessing
 import os
 import warnings
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
@@ -28,7 +27,7 @@ from ..telemetry.log import event, get_logger
 from ..workloads.scenarios import AdversaryMix, ScenarioConfig
 from .checkpoint import CheckpointConfig, _jsonable, config_key
 from .experiment import ExperimentConfig, ExperimentResult, \
-    pool_worker_init, run_experiment
+    parallel_map, run_experiment
 
 _log = get_logger("sim.campaign")
 
@@ -51,54 +50,6 @@ class CampaignError(RuntimeError):
         super().__init__(message)
         self.executed = executed
         self.skipped = skipped
-
-
-def parallel_map(func: Callable[[Any], Any], tasks: Iterable[Any], *,
-                 workers: int = 1, pool: Optional[Any] = None,
-                 on_result: Optional[Callable[[Any, Any], None]] = None
-                 ) -> List[Any]:
-    """Order-preserving map over a worker pool — the one parallel fabric
-    campaigns, fuzzing loops, and the campaign service share.
-
-    ``func`` must be a module-level callable and every task picklable.
-    Results come back in task order regardless of ``workers``, which is
-    what makes every consumer (campaign records, fuzz corpus/coverage
-    merging) byte-identical across worker counts.  ``on_result(task,
-    result)`` fires in task order as results arrive — pooled runs stream
-    them via ``imap`` so a long campaign persists finished work before
-    the slowest task completes.  Pass ``pool`` to reuse a long-lived
-    ``multiprocessing.Pool`` across many calls (the fuzzer evaluates one
-    small batch per generation; re-forking per batch would dominate);
-    ``pool`` and ``workers`` are mutually exclusive — the pool's own
-    process count governs, so a ``workers`` override would silently lie.
-    """
-    tasks = list(tasks)
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1: {workers}")
-    if pool is not None and workers != 1:
-        raise ValueError(
-            "pass either workers or pool, not both: the pool's process "
-            f"count governs, workers={workers} would be ignored")
-    owned: Optional[multiprocessing.pool.Pool] = None
-    if pool is not None:
-        iterator = pool.imap(func, tasks, chunksize=1)
-    elif workers == 1 or len(tasks) <= 1:
-        iterator = map(func, tasks)
-    else:
-        owned = multiprocessing.Pool(processes=min(workers, len(tasks)),
-                                     initializer=pool_worker_init)
-        iterator = owned.imap(func, tasks, chunksize=1)
-    try:
-        results: List[Any] = []
-        for task, result in zip(tasks, iterator):
-            if on_result is not None:
-                on_result(task, result)
-            results.append(result)
-        return results
-    finally:
-        if owned is not None:
-            owned.terminate()
-            owned.join()
 
 
 def result_to_record(config: ExperimentConfig,

@@ -61,7 +61,11 @@ __all__ = [
 #: holding a copy; a v4 *observed* snapshot has neither shape.
 #: v6: ``repro.baselines`` is gone (its node classes moved to
 #: ``repro.arena`` and keep ``_delivered`` where they had ``_seen``).
-CHECKPOINT_VERSION = 6
+#: v7: observed worlds carry no ``TraceRecorder`` (``ExperimentWorld``
+#: lost ``recorder``), ``Span`` state lost its ninth slot (the recorder
+#: stream position) and the context tallies phases in a plain dict
+#: instead of registry counters.
+CHECKPOINT_VERSION = 7
 
 
 class CheckpointError(RuntimeError):

@@ -29,7 +29,8 @@ import signal
 import time
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, Iterator, List, Optional, Sequence
+from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional,
+                    Sequence)
 
 from ..adversary.policies import make_behavior
 from .. import arena
@@ -62,7 +63,6 @@ from ..radio.medium import Medium
 from ..radio.propagation import LogNormalShadowing, UnitDisk
 from ..radio.vectorized import VectorizedMedium
 from ..telemetry.runtime import runtime_block
-from ..tracing.recorder import TraceRecorder
 from ..workloads.scenarios import ScenarioConfig
 from ..workloads.sources import BroadcastEvent, periodic_source
 from .checkpoint import (
@@ -77,8 +77,8 @@ from .checkpoint import (
 
 __all__ = ["ExperimentConfig", "ExperimentResult", "ExperimentWorld",
            "RivalKnobs", "run_experiment", "resume_experiment",
-           "build_world", "finish_world", "run_many", "pool_worker_init",
-           "PROTOCOLS", "SCHEMES", "MEDIA", "TIERS"]
+           "build_world", "finish_world", "run_many", "parallel_map",
+           "pool_worker_init", "PROTOCOLS", "SCHEMES", "MEDIA", "TIERS"]
 
 
 def pool_worker_init() -> None:
@@ -95,6 +95,55 @@ def pool_worker_init() -> None:
     """
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+
+
+def parallel_map(func: Callable[[Any], Any], tasks: Iterable[Any], *,
+                 workers: int = 1, pool: Optional[Any] = None,
+                 on_result: Optional[Callable[[Any, Any], None]] = None
+                 ) -> List[Any]:
+    """Order-preserving map over a worker pool — the one parallel fabric
+    campaigns, fuzzing loops, and the campaign service share.
+
+    ``func`` must be a module-level callable and every task picklable.
+    Results come back in task order regardless of ``workers``, which is
+    what makes every consumer (campaign records, fuzz corpus/coverage
+    merging) byte-identical across worker counts.  ``on_result(task,
+    result)`` fires in task order as results arrive — pooled runs stream
+    them via ``imap`` so a long campaign persists finished work before
+    the slowest task completes.  Pass ``pool`` to reuse a long-lived
+    ``multiprocessing.Pool`` across many calls (the fuzzer evaluates one
+    small batch per generation; re-forking per batch would dominate);
+    ``pool`` and ``workers`` are mutually exclusive — the pool's own
+    process count governs, so a ``workers`` override would silently lie.
+    """
+    tasks = list(tasks)
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1: {workers}")
+    if pool is not None and workers != 1:
+        raise ValueError(
+            "pass either workers or pool, not both: the pool's process "
+            f"count governs, workers={workers} would be ignored")
+    owned: Optional[multiprocessing.pool.Pool] = None
+    if pool is not None:
+        iterator = pool.imap(func, tasks, chunksize=1)
+    elif workers == 1 or len(tasks) <= 1:
+        iterator = map(func, tasks)
+    else:
+        owned = multiprocessing.Pool(processes=min(workers, len(tasks)),
+                                     initializer=pool_worker_init)
+        iterator = owned.imap(func, tasks, chunksize=1)
+    try:
+        results: List[Any] = []
+        for task, result in zip(tasks, iterator):
+            if on_result is not None:
+                on_result(task, result)
+            results.append(result)
+        return results
+    finally:
+        if owned is not None:
+            owned.terminate()
+            owned.join()
+
 
 #: The paper-canonical protocol set (kept for back-compat with pre-arena
 #: callers); the authoritative list is ``repro.arena.available_protocols()``.
@@ -413,10 +462,6 @@ class ExperimentWorld:
     assignment: Dict[int, str]
     correct: set
     horizon: float
-    #: Optional :class:`repro.tracing.TraceRecorder`; when set,
-    #: :func:`finish_world` emits a ``checkpoint`` trace event per
-    #: snapshot.  Must itself be picklable (the stock recorder is).
-    recorder: object = None
     #: Observability context (``config.observe``); rides in the world so
     #: checkpoints carry spans, occurrence counters, and metric series
     #: already recorded — a resume continues the same streams.
@@ -505,11 +550,10 @@ def build_world(config: ExperimentConfig) -> ExperimentWorld:
             controller.add_listener(oracle.chaos_listener)
 
     profiler = profiling.Profiler() if config.profile else None
-    recorder = None
     obs_ctx: Optional[ObsContext] = None
     if config.observe is not None:
-        obs_ctx, recorder = _build_observability(
-            config, sim, nodes, medium, energy, controller, oracle, events)
+        obs_ctx = _build_observability(config, sim, nodes, medium, energy,
+                                       oracle, events)
 
     mobility = _mobility(scenario, sim, [node.radio for node in nodes],
                          area, streams)
@@ -535,40 +579,20 @@ def build_world(config: ExperimentConfig) -> ExperimentWorld:
         config=config, sim=sim, streams=streams, nodes=nodes, medium=medium,
         energy=energy, collector=collector, controller=controller,
         oracle=oracle, mobility=mobility, assignment=assignment,
-        correct=correct, horizon=horizon, recorder=recorder, obs=obs_ctx,
-        profiler=profiler)
-
-
-#: Recorder categories for observed runs: spans/metrics plus the run-level
-#: streams that interleave with them.  Physical categories (tx/rx/
-#: collision) are excluded by default — the medium taps would double-record
-#: what the tx/collision/rx *spans* already carry.
-OBS_CATEGORIES = ("span", "metric", "chaos", "violation", "checkpoint")
+        correct=correct, horizon=horizon, obs=obs_ctx, profiler=profiler)
 
 
 def _build_observability(config: ExperimentConfig, sim: Simulator, nodes,
                          medium: Medium, energy: EnergyModel,
-                         controller: Optional[ChaosController],
                          oracle: Optional[InvariantOracle],
-                         events: Sequence[BroadcastEvent]):
-    """Assemble the observability context, the recorder whose stream it
-    merges into, and the metric sampler for one world.  Returns
-    ``(context, recorder)``."""
+                         events: Sequence[BroadcastEvent]) -> ObsContext:
+    """Assemble the observability context and its metric sampler for one
+    world.  Nothing is attached to the nodes, the medium, the chaos
+    controller or the oracle: the instrumented seams find the context
+    through :data:`repro.obs.context.ACTIVE`."""
     scenario = config.scenario
     observe = config.observe
     obs_ctx = ObsContext(observe, sim=sim)
-    recorder = TraceRecorder(sim,
-                             categories=observe.categories or OBS_CATEGORIES)
-    recorder.attach_medium(medium)
-    if arena.get_protocol(config.protocol).rich_tracing:
-        for node in nodes:
-            recorder.attach_node(node)
-    if controller is not None:
-        recorder.attach_chaos(controller)
-    if oracle is not None:
-        recorder.attach_oracle(oracle)
-    obs_ctx.attach_recorder(recorder)
-
     if oracle is not None:
         latency_bound = oracle.latency_bound
         buffer_bound = oracle.buffer_bound
@@ -595,7 +619,7 @@ def _build_observability(config: ExperimentConfig, sim: Simulator, nodes,
                             buffer_bound=buffer_bound)
     obs_ctx.attach_sampler(sampler)
     sampler.start()
-    return obs_ctx, recorder
+    return obs_ctx
 
 
 def _next_boundary(now: float, every: float) -> float:
@@ -633,10 +657,7 @@ def finish_world(world: ExperimentWorld) -> ExperimentResult:
                     sim.run(until=world.horizon)
                     break
                 sim.run(until=boundary)
-                path = write_checkpoint(world, key, ckpt.directory)
-                if world.recorder is not None:
-                    world.recorder.record_checkpoint(
-                        path, events_fired=sim.events_fired)
+                write_checkpoint(world, key, ckpt.directory)
 
     scenario = config.scenario
     collector = world.collector
@@ -697,14 +718,7 @@ def run_many(configs: Sequence[ExperimentConfig],
     whether it was computed serially or by ``workers`` processes.  Results
     come back in input order.
     """
-    configs = list(configs)
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1: {workers}")
-    if workers == 1 or len(configs) <= 1:
-        return [run_experiment(config) for config in configs]
-    with multiprocessing.Pool(processes=min(workers, len(configs)),
-                              initializer=pool_worker_init) as pool:
-        return pool.map(run_experiment, configs, chunksize=1)
+    return parallel_map(run_experiment, configs, workers=workers)
 
 
 # ----------------------------------------------------------------------

@@ -8,18 +8,13 @@ optionally replicating each point over several seeds and averaging.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
 from ..obs import merge_payloads
 from ..telemetry.runtime import merge_runtime
 from ..workloads.scenarios import ScenarioConfig
 from .checkpoint import CheckpointConfig
-from .experiment import (
-    ExperimentConfig,
-    ExperimentResult,
-    run_experiment,
-    run_many,
-)
+from .experiment import ExperimentConfig, ExperimentResult, run_many
 
 __all__ = ["SweepPoint", "run_sweep", "average_results"]
 
@@ -36,15 +31,14 @@ class SweepPoint:
 def run_sweep(parameters: Sequence[object],
               make_config: Callable[[object], ExperimentConfig],
               seeds: Sequence[int] = (1,),
-              progress: Optional[Callable[[str], None]] = None,
               workers: int = 1,
               checkpoint_every: Optional[float] = None,
               checkpoint_dir: str = ".repro-checkpoints") -> List[SweepPoint]:
     """Run ``make_config(parameter)`` for every parameter × seed.
 
     Each parameter's results across seeds are averaged into one point.
-    With ``workers > 1`` the parameter × seed grid is flattened into one
-    task list and executed by a process pool (each simulation is
+    The parameter × seed grid is one task list for :func:`run_many`, so
+    ``workers > 1`` spreads it over a process pool (each simulation is
     self-seeded, so the averaged points are identical to a serial run).
 
     With ``checkpoint_every`` each run snapshots itself every that many
@@ -52,49 +46,21 @@ def run_sweep(parameters: Sequence[object],
     existing snapshot (a killed worker's leftovers) — see
     :mod:`repro.sim.checkpoint`.  Points are identical either way.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1: {workers}")
-
-    def finalize(config: ExperimentConfig) -> ExperimentConfig:
-        if checkpoint_every is None:
-            return config
-        return replace(config, checkpoint=CheckpointConfig(
-            every=checkpoint_every, directory=checkpoint_dir))
-
-    if workers > 1:
-        tasks: List[ExperimentConfig] = []
-        for parameter in parameters:
-            for seed in seeds:
-                config = make_config(parameter)
-                config = replace(
-                    config, scenario=config.scenario.with_seed(seed))
-                if progress is not None:
-                    progress(f"running {config.protocol} "
-                             f"param={parameter!r} seed={seed}")
-                tasks.append(finalize(config))
-        flat = run_many(tasks, workers=workers)
-        points = []
-        for index, parameter in enumerate(parameters):
-            group = flat[index * len(seeds):(index + 1) * len(seeds)]
-            points.append(SweepPoint(parameter=parameter,
-                                     result=average_results(group),
-                                     replicates=len(group)))
-        return points
-    points: List[SweepPoint] = []
+    tasks: List[ExperimentConfig] = []
     for parameter in parameters:
-        results: List[ExperimentResult] = []
         for seed in seeds:
             config = make_config(parameter)
-            config = replace(
-                config, scenario=config.scenario.with_seed(seed))
-            if progress is not None:
-                progress(f"running {config.protocol} "
-                         f"param={parameter!r} seed={seed}")
-            results.append(run_experiment(finalize(config)))
-        points.append(SweepPoint(parameter=parameter,
-                                 result=average_results(results),
-                                 replicates=len(results)))
-    return points
+            config = replace(config, scenario=config.scenario.with_seed(seed))
+            if checkpoint_every is not None:
+                config = replace(config, checkpoint=CheckpointConfig(
+                    every=checkpoint_every, directory=checkpoint_dir))
+            tasks.append(config)
+    flat = run_many(tasks, workers=workers)
+    group = len(seeds)
+    return [SweepPoint(parameter=parameter,
+                       result=average_results(flat[i * group:(i + 1) * group]),
+                       replicates=group)
+            for i, parameter in enumerate(parameters)]
 
 
 def average_results(results: Sequence[ExperimentResult]) -> ExperimentResult:

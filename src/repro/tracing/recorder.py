@@ -7,22 +7,20 @@ uniform, queryable, exportable event stream.  Useful for debugging
 protocol behaviour and for building timelines in examples/notebooks
 without instrumenting protocol code.
 
-With an :class:`~repro.obs.ObsContext` attached the stream is *merged*:
-lifecycle spans take their place in it by ``seq`` beside the recorder's
-own events.  Spans are not copied in — each reserves its ``seq`` when it
-is emitted and the ``span`` events are derived from the context's spans
-whenever the stream is read (:attr:`TraceRecorder.events`).
+It is a standalone tool for networks built by hand (or by
+:meth:`repro.sim.NetworkBuilder.with_tracing`).  Observed experiments do
+not use it: their event stream is the :class:`~repro.obs.ObsContext`
+span stream.
 """
 
 from __future__ import annotations
 
 import json
-from operator import attrgetter
 from typing import Any, Dict, Iterable, List, Optional
 
 from ..core.messages import MessageId
 from ..des.kernel import Simulator
-from ..obs.context import flat_row, msg_key
+from ..obs.context import flat_row
 from ..radio.medium import Medium, MediumObserver
 from ..radio.packet import Packet
 
@@ -163,12 +161,9 @@ class _ViolationTap:
 class TraceRecorder:
     """Collects :class:`TraceEvent` objects from a live simulation."""
 
-    #: Categories recorded when no filter is supplied.  ``span`` and
-    #: ``metric`` come from :mod:`repro.obs`: lifecycle spans (derived on
-    #: read from the attached context) and sampled metric rows.
+    #: Categories recorded when no filter is supplied.
     ALL_CATEGORIES = ("tx", "rx", "collision", "accept", "suspect",
-                      "trust", "overlay", "chaos", "violation", "profile",
-                      "checkpoint", "span", "metric")
+                      "trust", "overlay", "chaos", "violation", "profile")
 
     def __init__(self, sim: Simulator,
                  categories: Optional[Iterable[str]] = None,
@@ -180,16 +175,8 @@ class TraceRecorder:
         if unknown:
             raise ValueError(f"unknown trace categories: {sorted(unknown)}")
         self._capacity = capacity
-        #: Stream positions handed out so far — one per event in the
-        #: stream, recorded or span-derived, so also the stream's length.
-        self._seq = 0
-        #: Events recorded eagerly (everything but the attached
-        #: context's spans), in ``seq`` order.
-        self._recorded: List[TraceEvent] = []
-        #: The :class:`~repro.obs.ObsContext` whose spans are part of
-        #: the stream, and the index of its first span that can be.
-        self._span_source = None
-        self._span_start = 0
+        #: The recorded events in ``seq`` order.
+        self.events: List[TraceEvent] = []
         self.dropped = 0
 
     # ------------------------------------------------------------------
@@ -199,8 +186,7 @@ class TraceRecorder:
         """Tap the medium for ``tx``/``rx``/``collision`` — unless the
         category filter excludes all three: the tap would then be called
         per transmit, delivery and collision only for every event to be
-        discarded (the default for observed runs, whose spans already
-        carry the physical layer)."""
+        discarded."""
         if not self._categories.isdisjoint(("tx", "rx", "collision")):
             medium.add_observer(_MediumTap(self))
         return self
@@ -220,14 +206,6 @@ class TraceRecorder:
             self.attach_node(node)
         return self
 
-    def adopt_spans(self, context) -> None:
-        """Present ``context``'s spans from here on as ``span`` events
-        (called by :meth:`repro.obs.ObsContext.attach_recorder`)."""
-        if self._span_source is not None and self._span_source is not context:
-            raise ValueError("recorder already merges another context")
-        self._span_source = context
-        self._span_start = len(context.spans)
-
     def attach_chaos(self, controller) -> "TraceRecorder":
         """Record each applied fault of a
         :class:`repro.chaos.ChaosController`."""
@@ -238,21 +216,6 @@ class TraceRecorder:
         """Record each :class:`repro.chaos.InvariantViolation` as it is
         observed."""
         oracle.add_listener(_ViolationTap(self))
-        return self
-
-    def record_checkpoint(self, path: str,
-                          events_fired: Optional[int] = None
-                          ) -> "TraceRecorder":
-        """Note a written snapshot in the stream.
-
-        One ``checkpoint`` event at the current virtual time (node -1:
-        run-level, not any single node's).  ``finish_world`` calls this
-        per snapshot when a recorder rides inside the experiment world.
-        """
-        details: Dict[str, Any] = {"path": path}
-        if events_fired is not None:
-            details["events_fired"] = events_fired
-        self.record("checkpoint", -1, **details)
         return self
 
     def record_profile(self, profiler) -> "TraceRecorder":
@@ -271,45 +234,21 @@ class TraceRecorder:
     # ------------------------------------------------------------------
     # Recording and querying
     # ------------------------------------------------------------------
-    def reserve(self, category: str) -> int:
-        """Claim the next stream position for one ``category`` event, or
-        return 0 when the category filter excludes it or ``capacity`` is
-        spent (counted in :attr:`dropped`).  Every event enters the
-        stream through here, whether :meth:`record` stores it now or the
-        attached context's span stands for it until the stream is read."""
-        if category not in self._categories:
-            return 0
-        if self._capacity is not None and self._seq >= self._capacity:
-            self.dropped += 1
-            return 0
-        self._seq += 1
-        return self._seq
-
     def record(self, category: str, node: int, **details: Any) -> None:
+        """Append one ``category`` event at the current virtual time,
+        unless the category filter excludes it or ``capacity`` is spent
+        (counted in :attr:`dropped`)."""
         if "seq" in details or "time" in details:
             raise ValueError(
                 "'seq' and 'time' are stream columns, not detail keys")
-        seq = self.reserve(category)
-        if seq:
-            self._recorded.append(
-                TraceEvent(self._sim.now, category, node, details, seq))
-
-    @property
-    def events(self) -> List[TraceEvent]:
-        """The stream in ``seq`` order, materialised on each read:
-        recorded events merged with one ``span`` event per span of the
-        attached context that reserved a position."""
-        source = self._span_source
-        if source is None:
-            return list(self._recorded)
-        derived = [
-            TraceEvent(span.time, "span", span.node,
-                       flat_row({"span": span.span_id, "phase": span.phase,
-                                 "msg": msg_key(span.msg)}, span.detail),
-                       span.stream_seq)
-            for span in source.spans[self._span_start:] if span.stream_seq]
-        # Two ascending runs: timsort merges them in linear time.
-        return sorted(self._recorded + derived, key=attrgetter("seq"))
+        if category not in self._categories:
+            return
+        events = self.events
+        if self._capacity is not None and len(events) >= self._capacity:
+            self.dropped += 1
+            return
+        events.append(TraceEvent(self._sim.now, category, node, details,
+                                 len(events) + 1))
 
     def select(self, category: Optional[str] = None,
                node: Optional[int] = None,
@@ -347,8 +286,5 @@ class TraceRecorder:
         return len(events)
 
     def clear(self) -> None:
-        self._recorded.clear()
-        if self._span_source is not None:
-            self._span_start = len(self._span_source.spans)
+        self.events.clear()
         self.dropped = 0
-        self._seq = 0

@@ -276,10 +276,16 @@ def test_v4_observed_snapshot_is_refused_and_run_restarts(
     """A version-4 observed snapshot pickles ``Span`` as a dataclass with
     dict state and a recorder holding an eager ``events`` list.  Neither
     shape loads into the slotted classes; there is no second format in
-    ``__setstate__`` — the snapshot reads as "no usable checkpoint"."""
+    ``__setstate__`` — the snapshot reads as "no usable checkpoint".
+
+    A version-6 observed world is refused the same way: its spans pickle
+    a ninth slot (``stream_seq``) and it carries the recorder they fed.
+    Even stamped with the current version number that shape does not
+    load."""
     import dataclasses
     from repro.obs import ObsConfig
     from repro.obs import context as obs_context
+    from repro.sim.experiment import _instruments
 
     config = replace(base_config(), observe=ObsConfig())
     ck = replace(config, checkpoint=CheckpointConfig(
@@ -313,6 +319,23 @@ def test_v4_observed_snapshot_is_refused_and_run_restarts(
     assert canonical(ck, run_experiment(ck)) == baseline
     assert latest_checkpoint(str(tmp_path), config_key(ck)) is None
 
+    assert CHECKPOINT_VERSION > 6
+    for version in (6, CHECKPOINT_VERSION):
+        world = build_world(ck)
+        with _instruments(world.profiler, world.obs):
+            world.sim.run(until=5.0)
+        world.recorder = TraceRecorder(world.sim)
+        with monkeypatch.context() as patch:
+            patch.setattr(obs_context.Span, "__getstate__",
+                          lambda span: span._value() + (0,))
+            with open(path, "wb") as handle:
+                pickle.dump({"version": version, "key": config_key(ck),
+                             "world": world}, handle)
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+        assert canonical(ck, run_experiment(ck)) == baseline
+        assert latest_checkpoint(str(tmp_path), config_key(ck)) is None
+
 
 def test_corrupt_snapshot_falls_back_to_fresh_run(tmp_path):
     config = base_config()
@@ -336,22 +359,6 @@ def test_wrong_config_snapshot_is_refused(tmp_path):
     path = interrupt(ck, 5.0, str(tmp_path))
     with pytest.raises(CheckpointError):
         load_checkpoint(path, expect_key=config_key(other))
-
-
-def test_recorder_logs_checkpoints(tmp_path):
-    config = base_config()
-    ck = replace(config, checkpoint=CheckpointConfig(
-        every=2.0, directory=str(tmp_path)))
-    world = build_world(ck)
-    world.recorder = TraceRecorder(world.sim, categories=("checkpoint",))
-    finish_world(world)
-    events = world.recorder.select(category="checkpoint")
-    assert events
-    assert all(event.node == -1 for event in events)
-    # One event per boundary before the horizon, at increasing progress.
-    fired = [event.details["events_fired"] for event in events]
-    assert fired == sorted(fired)
-    assert all(event.details["path"].endswith(".ckpt") for event in events)
 
 
 # ----------------------------------------------------------------------

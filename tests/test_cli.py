@@ -243,6 +243,36 @@ class TestObservabilityOptions:
         assert code == 0
         assert output.startswith("0:1: originated by node 0")
 
+    def test_arena_run_writes_the_trace_and_series(self, tmp_path):
+        """``arena run`` is ``run``: same report, same output files."""
+        trace = str(tmp_path / "arena.jsonl")
+        csv = str(tmp_path / "arena.csv")
+        code, output = run_cli(["arena", "run", "--protocol", "flooding",
+                                "--n", "14", "--messages", "2", "--seed", "3",
+                                "--trace-out", trace, "--metrics-out", csv])
+        assert code == 0
+        assert f"-> {trace}" in output and f"-> {csv}" in output
+        code, output = run_cli(["trace", "latency", trace])
+        assert code == 0
+        assert output.startswith("26 deliveries of 2 messages")
+        with open(csv) as handle:
+            assert handle.readline().startswith("time,")
+
+    @pytest.mark.parametrize("command", [
+        ["sweep", "--param", "n", "--values", "8"],
+        ["compare"],
+        ["arena", "compare"]])
+    @pytest.mark.parametrize("flag", ["--trace-out", "--metrics-out"])
+    def test_multi_run_commands_reject_output_files(self, command, flag,
+                                                    tmp_path, capsys):
+        """A sweep or comparison has no single trace to write; the flags
+        are usage errors there, not silently dropped."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(command + [flag, str(tmp_path / "x")], out=io.StringIO())
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_trace_validate_rejects_garbage(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"traceEvents": [{"ph": "Z"}]}')

@@ -12,9 +12,6 @@ import pytest
 from repro.des.kernel import Simulator
 from repro.obs import (
     PHASES,
-    Counter,
-    Gauge,
-    Histogram,
     MetricRegistry,
     ObsConfig,
     ObsContext,
@@ -128,9 +125,8 @@ class TestRecording:
         ctx.span("rx", 1, msg=(0, 1))
         ctx.span("rx", 2, msg=(0, 1))
         ctx.span("deliver", 2, msg=(0, 1))
-        counters = ctx.registry.snapshot()["counters"]
-        assert counters["spans.rx"] == 2
-        assert counters["spans.deliver"] == 1
+        assert ctx.counters() == {"spans.deliver": 1, "spans.rx": 2}
+        assert ctx.export_payload()["counters"] == ctx.counters()
 
     def test_last_span_id(self):
         _, ctx = make_context()
@@ -187,30 +183,19 @@ class TestPickling:
 
 
 class TestRegistry:
-    def test_counter_gauge_histogram(self):
-        registry = MetricRegistry()
-        registry.counter("a").inc()
-        registry.counter("a").inc(2)
-        registry.gauge("g").set(4.5)
-        hist = registry.histogram("h")
-        hist.add(0.3)
-        hist.add(100.0)
-        snap = registry.snapshot()
-        assert snap["counters"]["a"] == 3
-        assert snap["gauges"]["g"] == 4.5
-        assert snap["histograms"]["h"]["count"] == 2
-        assert snap["histograms"]["h"]["max"] == 100.0
-
     def test_primitives_pickle(self):
-        counter = Counter("c")
-        counter.inc(5)
-        gauge = Gauge("g")
-        gauge.set(1.5)
-        hist = Histogram("h")
-        hist.add(2.0)
-        assert pickle.loads(pickle.dumps(counter)).value == 5
-        assert pickle.loads(pickle.dumps(gauge)).value == 1.5
-        assert pickle.loads(pickle.dumps(hist)).count == 1
+        # What a checkpoint carries: the sampled series and the phase
+        # tally continue where they stopped.
+        sim, ctx = make_context()
+        ctx.span("rx", 1, msg=(0, 1))
+        ctx.registry.record_sample(0.0, {"x": 1.0})
+        clone = pickle.loads(pickle.dumps(ctx))
+        clone.bind(sim)
+        clone.span("rx", 2, msg=(0, 1))
+        clone.registry.record_sample(0.5, {"x": 2.0})
+        assert clone.counters() == {"spans.rx": 2}
+        assert clone.registry.series_dict() == {"time": [0.0, 0.5],
+                                                "x": [1.0, 2.0]}
 
     def test_record_sample_builds_rectangular_series(self):
         registry = MetricRegistry()

@@ -79,8 +79,8 @@ class TestFilteringAndQuerying:
             return [observer for observer in medium._observers
                     if isinstance(observer, _MediumTap)]
 
-        assert not taps(["span", "metric", "chaos"])
-        assert len(taps(["span", "collision"])) == 1
+        assert not taps(["accept", "suspect", "chaos"])
+        assert len(taps(["accept", "collision"])) == 1
         assert len(taps(None)) == 1
 
     def test_unknown_category_rejected(self):
@@ -166,67 +166,6 @@ class TestExport:
         assert recorder.events[0].seq == 1
 
 
-class TestObservabilityCategories:
-    """Category filtering across the categories added for repro.obs
-    (``span``, ``metric``, ``checkpoint``)."""
-
-    def make_recorder(self, categories=None):
-        from repro.des.kernel import Simulator
-
-        sim = Simulator()
-        return sim, TraceRecorder(sim, categories=categories)
-
-    def test_new_categories_are_known(self):
-        assert {"span", "metric", "checkpoint"} <= \
-            set(TraceRecorder.ALL_CATEGORIES)
-
-    def test_span_only_filter(self):
-        _, recorder = self.make_recorder(categories=["span"])
-        recorder.record("span", 1, span="0:1/1/1", phase="rx")
-        recorder.record("metric", -1, queue_depth_total=2)
-        recorder.record_checkpoint("snap.ckpt")
-        assert recorder.counts() == {"span": 1}
-
-    def test_obs_fanin_respects_recorder_filter(self):
-        from repro.des.kernel import Simulator
-        from repro.obs import ObsConfig, ObsContext
-
-        sim = Simulator()
-        ctx = ObsContext(ObsConfig(), sim=sim)
-        recorder = TraceRecorder(sim, categories=["metric", "checkpoint"])
-        ctx.attach_recorder(recorder)
-        ctx.span("rx", 1, msg=(0, 1))           # filtered out
-        recorder.record("metric", -1, deliveries_total=1.0)
-        recorder.record_checkpoint("snap.ckpt", events_fired=42)
-        assert recorder.counts() == {"metric": 1, "checkpoint": 1}
-        # The context itself still kept the span: the recorder filter
-        # governs the merged stream only.
-        assert len(ctx.spans) == 1
-
-    def test_span_fanin_carries_identity_and_detail(self):
-        from repro.des.kernel import Simulator
-        from repro.obs import ObsConfig, ObsContext
-
-        sim = Simulator()
-        ctx = ObsContext(ObsConfig(), sim=sim)
-        recorder = TraceRecorder(sim, categories=["span"])
-        ctx.attach_recorder(recorder)
-        sid = ctx.span("deliver", 2, msg=(0, 1), sender=1)
-        (event,) = recorder.events
-        assert event.category == "span" and event.node == 2
-        assert event.details["span"] == sid
-        assert event.details["phase"] == "deliver"
-        assert event.details["msg"] == "0:1"
-        assert event.details["sender"] == 1
-
-    def test_checkpoint_events_are_run_level(self):
-        _, recorder = self.make_recorder(categories=["checkpoint"])
-        recorder.record_checkpoint("a.ckpt", events_fired=7)
-        (event,) = recorder.events
-        assert event.node == -1
-        assert event.details == {"path": "a.ckpt", "events_fired": 7}
-
-
 class TestStreamColumns:
     """``seq``/``time``/``category``/``node`` are the stream's own row
     keys: no tap or detail may export something else under them."""
@@ -279,10 +218,8 @@ class TestStreamColumns:
         # export rows keep their columns whatever the detail is called.
         from repro.obs import ObsConfig, ObsContext
 
-        sim, recorder = self.make_recorder()
+        sim, _ = self.make_recorder()
         ctx = ObsContext(ObsConfig(), sim=sim)
-        ctx.attach_recorder(recorder)
-        recorder.record("tx", 0)
         sid = ctx.span("rx", 3, msg=(0, 1), seq=99, time=-1.0,
                        span="bogus", category="x", sender=2)
         (span,) = ctx.spans
@@ -290,6 +227,3 @@ class TestStreamColumns:
             "seq": 1, "span": sid, "time": 0.0, "phase": "rx", "node": 3,
             "msg": "0:1", "duration": 0.0, "category": "x", "sender": 2}
         assert span.detail["seq"] == 99          # still on the object
-        assert recorder.events[-1].to_dict() == {
-            "seq": 2, "time": 0.0, "category": "span", "node": 3,
-            "span": sid, "phase": "rx", "msg": "0:1", "sender": 2}
