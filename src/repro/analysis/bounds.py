@@ -15,7 +15,6 @@ check the measured system against them.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from ..core.config import ProtocolConfig

@@ -38,8 +38,8 @@ flood signed DATA frames.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Mapping, Sequence
 
 __all__ = [
     "BuildContext",

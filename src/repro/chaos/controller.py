@@ -11,7 +11,7 @@ processes and of the medium's indexing strategy.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Tuple
 
 from ..adversary.policies import make_attacker, make_behavior
 from ..adversary.behaviors import MuteBehavior

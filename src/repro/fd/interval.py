@@ -11,7 +11,7 @@ The paper defines the I_mute class by two interval properties:
 :class:`IntervalChecker` verifies a recorded run against these
 definitions: feed it the ground-truth fault schedule (when each node was
 actually mute) and the observed suspicion history (from
-:class:`repro.metrics.FdScorecard` or a :class:`TraceRecorder`), and it
+:class:`repro.metrics.FdScorecard` or the detectors' own listeners), and it
 reports which property held over which windows.  Experiment E8 uses the
 same logic inline; this module makes it a reusable, testable artifact.
 """

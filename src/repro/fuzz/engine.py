@@ -27,14 +27,13 @@ reaching new behaviour, not climbing one metric.
 
 from __future__ import annotations
 
-import multiprocessing
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from ..chaos.schedule import FaultSchedule
 from ..obs.coverage import CoverageMap
 from ..sim.campaign import parallel_map
-from ..sim.experiment import pool_worker_init
+from ..sim.experiment import make_pool
 from ..telemetry.log import event, get_logger
 from .corpus import CorpusEntry, TargetSpec, write_entry
 from .mutate import ScheduleMutator
@@ -226,8 +225,7 @@ class Fuzzer:
         if config.workers > 1:
             # Fork the worker pool before any run has patched classes in
             # this process (shrinking patches them transiently).
-            pool = multiprocessing.Pool(processes=config.workers,
-                                        initializer=pool_worker_init)
+            pool = make_pool(config.workers)
         try:
             while self._evaluated < config.iterations:
                 room = config.iterations - self._evaluated

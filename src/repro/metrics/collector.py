@@ -9,7 +9,7 @@ message/byte overhead by packet type.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set
 
 from ..core.messages import MessageId
 from ..radio.medium import Medium

@@ -17,7 +17,7 @@ These are the empirical counterparts of the I_mute interval properties
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set
 
 __all__ = ["SuspicionEvent", "FdScorecard"]
 

@@ -17,9 +17,10 @@ Enable per experiment with ``ExperimentConfig(observe=ObsConfig())`` or
 ``repro run --observe --trace-out trace.jsonl``.  The span stream is an
 observed run's only event stream: ``result.trace``, ``--trace-out``,
 ``repro trace`` and campaign records all read it, and oracle violations
-point into it by span id.  :class:`repro.tracing.TraceRecorder` is a
-separate, standalone tap recorder for hand-built networks; wall-clock
-Counter/Gauge/Histogram instruments live in :mod:`repro.telemetry.metrics`.
+point into it by span id.  A network built by hand
+(:class:`repro.sim.NetworkBuilder`) is observed the same way, with a
+:func:`session` around its run.  Wall-clock Counter/Gauge/Histogram
+instruments live in :mod:`repro.telemetry.metrics`.
 """
 
 from .analyze import (causal_chain, latency_report, message_ids, parse_msg,

@@ -15,7 +15,7 @@ sends, collisions, unanswered requests) ending in the purge span.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
 __all__ = [
     "parse_msg",

@@ -146,19 +146,6 @@ class ObsConfig:
                 raise ValueError(f"unknown phases: {sorted(unknown)}")
 
 
-def flat_row(columns: Dict[str, Any],
-             detail: Dict[str, Any]) -> Dict[str, Any]:
-    """``columns`` then ``detail`` as one flat export row, in that order.
-
-    A detail key named like a column cannot shadow it: the column keeps
-    its place *and* its value (the detail stays readable on the object,
-    it just has no row key of its own)."""
-    row = {**columns, **detail}
-    if len(row) != len(columns) + len(detail):
-        row.update(columns)
-    return row
-
-
 class Span:
     """One lifecycle event.
 
@@ -209,14 +196,20 @@ class Span:
          self.msg, self.duration, self.detail) = state
 
     def to_dict(self) -> Dict[str, Any]:
-        """Flat export form.  ``time`` is *not* rounded: rounding would
-        collapse distinct same-microsecond spans (see the TraceEvent
-        ``seq`` fix) and floats serialise deterministically anyway."""
-        return flat_row(
-            {"seq": self.seq, "span": self.span_id, "time": self.time,
-             "phase": self.phase, "node": self.node,
-             "msg": msg_key(self.msg), "duration": self.duration},
-            self.detail)
+        """Flat export form: the columns, then the detail keys.
+
+        ``time`` is *not* rounded: rounding would collapse distinct
+        same-microsecond spans, and floats serialise deterministically
+        anyway.  A detail key named like a column cannot shadow it: the
+        column keeps its place *and* its value (the detail stays
+        readable on the span, it just has no row key of its own)."""
+        columns = {"seq": self.seq, "span": self.span_id, "time": self.time,
+                   "phase": self.phase, "node": self.node,
+                   "msg": msg_key(self.msg), "duration": self.duration}
+        row = {**columns, **self.detail}
+        if len(row) != len(columns) + len(self.detail):
+            row.update(columns)
+        return row
 
 
 class ObsContext:

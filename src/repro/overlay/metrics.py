@@ -12,7 +12,7 @@ overlay (Lemmas 3.5 / 3.9):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Sequence, Set
+from typing import Dict, Set
 
 import networkx as nx
 

@@ -132,10 +132,6 @@ class Profiler:
         stats = self._phases.get(phase)
         return stats.seconds if stats else 0.0
 
-    def phases(self) -> Dict[str, PhaseStats]:
-        """Live view of the phase buckets (mutating it is undefined)."""
-        return self._phases
-
     def summary(self) -> Dict[str, Dict[str, float]]:
         """Plain-dict snapshot: ``{phase: {"count": n, "seconds": s}}``."""
         return {phase: stats.to_dict()

@@ -14,8 +14,8 @@ passive one).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict
 
 from ..des.kernel import Simulator
 from .medium import Medium, MediumObserver

@@ -9,7 +9,7 @@ purge the paper's implementation uses.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple
+from typing import Optional
 
 from ..core.messages import MessageId
 from ..des.kernel import Simulator

@@ -12,7 +12,7 @@ application produces.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Optional, Tuple
+from typing import Deque, Optional
 
 from ..core.messages import MessageId
 from ..des.kernel import Simulator

@@ -20,7 +20,8 @@ GET       /api/records/<key>/series.csv       metric series (text/csv)
 GET       /api/records/<key>/trace.json       Perfetto trace_event counters
 ========  ==================================  ===============================
 
-Errors are ``{"error": ...}`` bodies: 400 for malformed specs/JSON, 404
+Errors are ``{"error": ...}`` bodies: 400 for malformed specs/JSON or a
+bad ``Content-Length``, 413 for a body over :data:`MAX_BODY_BYTES`, 404
 for unknown jobs, records, or routes.  The server is a
 ``ThreadingHTTPServer``; handlers only touch the thread-safe
 :class:`CampaignService` surface (queue lock inside).
@@ -38,9 +39,12 @@ from .dashboard import DASHBOARD_HTML
 from .scheduler import CampaignService
 from .spec import SpecError
 
-__all__ = ["ServiceHandler", "make_server"]
+__all__ = ["ServiceHandler", "make_server", "MAX_BODY_BYTES"]
 
 _log = get_logger("service.http")
+
+#: Largest request body the server reads (a sweep spec is under 1 KiB).
+MAX_BODY_BYTES = 1 << 20
 
 
 class ServiceHandler(BaseHTTPRequestHandler):
@@ -77,17 +81,35 @@ class ServiceHandler(BaseHTTPRequestHandler):
     def _error(self, code: int, message: str) -> None:
         self._json(code, {"error": message})
 
-    def _read_body(self) -> Optional[Any]:
-        length = int(self.headers.get("Content-Length") or 0)
-        raw = self.rfile.read(length) if length else b""
+    def _refuse(self, code: int, message: str) -> None:
+        """An error about the body's framing or shape; the body may be
+        unread, so the connection closes after it."""
+        self.close_connection = True
+        self._error(code, message)
+
+    def _read_body(self) -> Optional[Dict[str, Any]]:
+        """The request's JSON object, or ``None`` once an error is sent."""
+        length = self.headers.get("Content-Length") or "0"
+        if not length.isdecimal():
+            self._refuse(400, "Content-Length must be a non-negative "
+                         "integer")
+            return None
+        if int(length) > MAX_BODY_BYTES:
+            self._refuse(413, f"request body over {MAX_BODY_BYTES} bytes")
+            return None
+        raw = self.rfile.read(int(length))
         if not raw:
             self._error(400, "empty request body; expected a JSON spec")
             return None
         try:
-            return json.loads(raw)
+            body = json.loads(raw)
         except json.JSONDecodeError as exc:
             self._error(400, f"request body is not valid JSON: {exc}")
             return None
+        if not isinstance(body, dict):
+            self._refuse(400, "request body must be a JSON object")
+            return None
+        return body
 
     def _parts(self) -> Tuple[str, ...]:
         path = self.path.split("?", 1)[0]

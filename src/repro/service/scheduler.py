@@ -39,7 +39,7 @@ from ..sim.checkpoint import config_key
 from ..telemetry.log import bound, event, get_logger
 from ..telemetry.metrics import TelemetryRegistry
 from .queue import Job, JobQueue
-from .spec import SpecError, SweepSpec
+from .spec import SweepSpec
 from .store import ResultStore
 
 __all__ = ["CampaignService"]
@@ -274,9 +274,10 @@ class CampaignService:
 
     def _run_job_body(self, job: Job) -> Job:
         try:
-            spec = SweepSpec.from_dict(job.spec)
-            configs = spec.expand()
-        except SpecError as exc:
+            configs = SweepSpec.from_dict(job.spec).expand()
+        except Exception as exc:
+            # The job file is read back from disk: outside input, so no
+            # error in it may take the scheduler thread down.
             self._m_failed.inc()
             event(_log, "job.failed", level=logging.ERROR, error=str(exc))
             return self.queue.update(job.id, state="failed",

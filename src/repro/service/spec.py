@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -59,20 +60,29 @@ _RULES = ("cds", "mis+b")
 _RETIRED_MEDIA = ("grid", "brute", "vectorized")
 
 
+#: Scalar fields by the type a spec must give them: integers (never
+#: booleans), finite numbers, and integers or ``None``.
+_INT_FIELDS = ("n", "mute", "messages")
+_FLOAT_FIELDS = ("tx_range", "degree", "interval", "warmup", "drain",
+                 "gossip_period")
+_KNOB_FIELDS = ("paths_required", "suppression_threshold", "cpa_k")
+
+
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise SpecError(message)
 
 
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _int_list(value: Any, name: str) -> Tuple[int, ...]:
     _require(isinstance(value, (list, tuple)) and value,
              f"{name} must be a non-empty list of integers")
-    out = []
     for item in value:
-        _require(isinstance(item, int) and not isinstance(item, bool),
-                 f"{name} must contain integers, got {item!r}")
-        out.append(item)
-    return tuple(out)
+        _require(_is_int(item), f"{name} must contain integers, got {item!r}")
+    return tuple(value)
 
 
 @dataclass(frozen=True)
@@ -110,9 +120,27 @@ class SweepSpec:
     cpa_k: Optional[int] = None
 
     def __post_init__(self) -> None:
+        for name in _INT_FIELDS:
+            value = getattr(self, name)
+            _require(_is_int(value), f"{name} must be an integer, "
+                     f"got {value!r}")
+        for name in _FLOAT_FIELDS:
+            value = getattr(self, name)
+            _require(_is_int(value) or (isinstance(value, float)
+                                        and math.isfinite(value)),
+                     f"{name} must be a finite number, got {value!r}")
+        for name in _KNOB_FIELDS:
+            value = getattr(self, name)
+            _require(value is None or _is_int(value),
+                     f"{name} must be an integer, got {value!r}")
+        _require(isinstance(self.observe, bool),
+                 f"observe must be true or false, got {self.observe!r}")
+        _int_list(self.seeds, "seeds")
+        if self.values:
+            _int_list(self.values, "values")
         _require(self.protocols, "need at least one protocol")
         for name in self.protocols:
-            _require(arena.is_registered(name),
+            _require(isinstance(name, str) and arena.is_registered(name),
                      f"unknown protocol {name!r}; choose from "
                      f"{tuple(arena.available_protocols())}")
         if self.param is not None:
@@ -210,12 +238,17 @@ class SweepSpec:
     # ------------------------------------------------------------------
     def _one_config(self, protocol: str, value: Optional[int],
                     seed: int) -> ExperimentConfig:
+        """One task of the grid; whatever the constructors reject, by
+        value or by type, is a :class:`SpecError`."""
         n = self.n
         mute = self.mute
         if self.param == "n":
-            n = int(value)
+            n = value
         elif self.param == "mute":
-            mute = int(value)
+            mute = value
+        knobs = {field: getattr(self, field) for field in _KNOB_FIELDS}
+        if self.param in _RIVAL_PARAMS:
+            knobs[_RIVAL_PARAMS[self.param]] = value
         try:
             scenario = ScenarioConfig(
                 n=n, tx_range=self.tx_range, target_degree=self.degree,
@@ -223,19 +256,12 @@ class SweepSpec:
                 adversaries=(AdversaryMix.mute(mute) if mute
                              else AdversaryMix.none()),
                 seed=seed)
-        except ValueError as exc:
-            raise SpecError(str(exc)) from exc
-        stack = NodeStackConfig(
-            overlay_rule=self.rule,
-            protocol=ProtocolConfig(gossip_period=self.gossip_period))
-        knobs = {field: getattr(self, field)
-                 for field in ("paths_required", "suppression_threshold",
-                               "cpa_k")}
-        if self.param in _RIVAL_PARAMS:
-            knobs[_RIVAL_PARAMS[self.param]] = int(value)
-        rivals = (RivalKnobs(**knobs)
-                  if any(v is not None for v in knobs.values()) else None)
-        try:
+            stack = NodeStackConfig(
+                overlay_rule=self.rule,
+                protocol=ProtocolConfig(gossip_period=self.gossip_period))
+            rivals = (RivalKnobs(**knobs)
+                      if any(v is not None for v in knobs.values())
+                      else None)
             return ExperimentConfig(
                 scenario=scenario, protocol=protocol, stack=stack,
                 message_count=self.messages,
@@ -244,7 +270,7 @@ class SweepSpec:
                 signature_scheme=self.scheme, tier=self.tier,
                 observe=ObsConfig() if self.observe else None,
                 rivals=rivals)
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise SpecError(str(exc)) from exc
 
     def expand(self) -> List[ExperimentConfig]:

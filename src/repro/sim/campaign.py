@@ -24,7 +24,6 @@ import warnings
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..telemetry.log import event, get_logger
-from ..workloads.scenarios import AdversaryMix, ScenarioConfig
 from .checkpoint import CheckpointConfig, _jsonable, config_key
 from .experiment import ExperimentConfig, ExperimentResult, \
     parallel_map, run_experiment

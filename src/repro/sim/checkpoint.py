@@ -56,13 +56,13 @@ __all__ = [
 #: pickles exclude the slab free list; pre-slab snapshots are refused.
 #: v4: the spatial-hash-grid medium is gone (``repro.radio.grid`` no
 #: longer imports), so snapshots that may pickle one are refused.
-#: v5: ``Span``/``TraceEvent`` are slotted classes with tuple state and
-#: the recorder derives its ``span`` events from the context instead of
-#: holding a copy; a v4 *observed* snapshot has neither shape.
+#: v5: ``Span`` and the recorder's event are slotted classes with tuple
+#: state and the recorder derives its ``span`` events from the context
+#: instead of holding a copy; a v4 *observed* snapshot has neither shape.
 #: v6: ``repro.baselines`` is gone (its node classes moved to
 #: ``repro.arena`` and keep ``_delivered`` where they had ``_seen``).
-#: v7: observed worlds carry no ``TraceRecorder`` (``ExperimentWorld``
-#: lost ``recorder``), ``Span`` state lost its ninth slot (the recorder
+#: v7: observed worlds carry no tap recorder (``ExperimentWorld`` lost
+#: ``recorder``), ``Span`` state lost its ninth slot (the recorder
 #: stream position) and the context tallies phases in a plain dict
 #: instead of registry counters.
 CHECKPOINT_VERSION = 7

@@ -28,7 +28,7 @@ import multiprocessing
 import signal
 import time
 from contextlib import ExitStack, contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional,
                     Sequence)
 
@@ -41,7 +41,6 @@ from ..chaos import (
     OracleConfig,
 )
 from .. import profiling
-from ..core.messages import MessageId
 from ..core.node import NodeStackConfig
 from ..crypto.keystore import DsaScheme, HmacScheme, KeyDirectory
 from ..des.kernel import Simulator
@@ -78,7 +77,8 @@ from .checkpoint import (
 __all__ = ["ExperimentConfig", "ExperimentResult", "ExperimentWorld",
            "RivalKnobs", "run_experiment", "resume_experiment",
            "build_world", "finish_world", "run_many", "parallel_map",
-           "pool_worker_init", "PROTOCOLS", "SCHEMES", "MEDIA", "TIERS"]
+           "make_pool", "pool_worker_init", "PROTOCOLS", "SCHEMES", "MEDIA",
+           "TIERS"]
 
 
 def pool_worker_init() -> None:
@@ -90,11 +90,32 @@ def pool_worker_init() -> None:
     the pool's join forever.  SIGINT is ignored instead: a terminal
     Ctrl-C reaches the whole foreground group, and the task in flight
     should finish so the parent's handler can requeue at the chunk
-    boundary.  Every ``multiprocessing.Pool`` in the repo passes this as
-    its ``initializer``.
+    boundary.  :func:`make_pool` forks the workers with SIGTERM blocked;
+    it is unblocked here, once the handler is the default one, so a reap
+    that arrived earlier is delivered now.
     """
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGTERM})
+
+
+def make_pool(processes: int) -> multiprocessing.pool.Pool:
+    """The repo's one way to build a ``multiprocessing.Pool``.
+
+    A worker can sit unscheduled until its siblings have finished every
+    task, so ``terminate()`` may SIGTERM it before it has run
+    :func:`pool_worker_init` — while it still holds the parent's
+    handler, which swallows the reap.  Forking with SIGTERM blocked
+    holds the signal pending until the initializer has reset the
+    handler.  The pool's own threads inherit the mask, so workers they
+    fork later start blocked too.
+    """
+    previous = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGTERM})
+    try:
+        return multiprocessing.Pool(processes=processes,
+                                    initializer=pool_worker_init)
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, previous)
 
 
 def parallel_map(func: Callable[[Any], Any], tasks: Iterable[Any], *,
@@ -129,8 +150,7 @@ def parallel_map(func: Callable[[Any], Any], tasks: Iterable[Any], *,
     elif workers == 1 or len(tasks) <= 1:
         iterator = map(func, tasks)
     else:
-        owned = multiprocessing.Pool(processes=min(workers, len(tasks)),
-                                     initializer=pool_worker_init)
+        owned = make_pool(min(workers, len(tasks)))
         iterator = owned.imap(func, tasks, chunksize=1)
     try:
         results: List[Any] = []

@@ -3,9 +3,11 @@
 ``run_experiment`` covers scenario-driven evaluation; this builder covers
 the other common need — placing specific nodes at specific coordinates
 with specific behaviours, and getting back live handles to everything
-(nodes, medium, energy meter, tracer).  Used by examples and integration
+(nodes, medium, energy meter).  Used by examples and integration
 tests; the paper-style topologies (line, diamond, grid) ship as
-constructors.
+constructors.  A built network is observed like every other run, with
+an ``obs.session`` around it plus the nodes' own listener hooks (see
+docs/OBSERVABILITY.md, "Observing a hand-built network").
 
 Usage::
 
@@ -13,7 +15,6 @@ Usage::
            .line(5, spacing=80.0)
            .with_behavior(2, MuteBehavior())
            .with_energy()
-           .with_tracing("accept", "suspect")
            .build())
     net.warm_up(8.0)
     msg_id = net.nodes[0].broadcast(b"hello")
@@ -23,7 +24,7 @@ Usage::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..core.messages import MessageId
@@ -37,7 +38,6 @@ from ..radio.geometry import Position
 from ..radio.medium import Medium
 from ..radio.propagation import PropagationModel
 from ..radio.vectorized import VectorizedMedium
-from ..tracing.recorder import TraceRecorder
 
 __all__ = ["NetworkBuilder", "Network"]
 
@@ -51,7 +51,6 @@ class Network:
     nodes: List[NetworkNode]
     directory: KeyDirectory
     energy: Optional[EnergyModel] = None
-    tracer: Optional[TraceRecorder] = None
 
     def node(self, node_id: int) -> NetworkNode:
         return self.nodes[node_id]
@@ -98,7 +97,6 @@ class NetworkBuilder:
         self._propagation: Optional[PropagationModel] = None
         self._bitrate = 1_000_000.0
         self._want_energy = False
-        self._trace_categories: Optional[Tuple[str, ...]] = None
 
     # ------------------------------------------------------------------
     # Placement
@@ -154,10 +152,6 @@ class NetworkBuilder:
         self._want_energy = True
         return self
 
-    def with_tracing(self, *categories: str) -> "NetworkBuilder":
-        self._trace_categories = categories or None
-        return self
-
     # ------------------------------------------------------------------
     def build(self, start: bool = True) -> Network:
         if len(self._coords) < 2:
@@ -174,21 +168,15 @@ class NetworkBuilder:
             seed=str(self._seed).encode())
         directory = KeyDirectory(scheme)
         energy = EnergyModel(sim, medium) if self._want_energy else None
-        tracer = None
-        if self._trace_categories is not None:
-            tracer = TraceRecorder(sim, categories=self._trace_categories)
-            tracer.attach_medium(medium)
         nodes = []
         for node_id, (x, y) in enumerate(self._coords):
             node = NetworkNode(sim, medium, node_id, Position(x, y),
                                self._tx_range, streams, directory,
                                self._stack,
                                behavior=self._behaviors.get(node_id))
-            if tracer is not None:
-                tracer.attach_node(node)
             nodes.append(node)
         if start:
             for node in nodes:
                 node.start()
         return Network(sim=sim, medium=medium, nodes=nodes,
-                       directory=directory, energy=energy, tracer=tracer)
+                       directory=directory, energy=energy)

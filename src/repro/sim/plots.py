@@ -7,7 +7,7 @@ multi-series sparkline grids.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 __all__ = ["bar_chart", "spark_line", "series_chart"]
 

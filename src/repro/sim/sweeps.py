@@ -12,7 +12,6 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 from ..obs import merge_payloads
 from ..telemetry.runtime import merge_runtime
-from ..workloads.scenarios import ScenarioConfig
 from .checkpoint import CheckpointConfig
 from .experiment import ExperimentConfig, ExperimentResult, run_many
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional
 
 __all__ = ["AdversaryMix", "ScenarioConfig", "area_side_for_degree"]
 

@@ -195,6 +195,30 @@ class TestCheckpointResume:
 
 
 class TestFailureAndCancel:
+    @pytest.mark.parametrize("poison", [
+        {"n": "abc", "messages": 1},
+        {"messages": "x"},
+        {"param": "paths_required", "values": [0]},
+    ])
+    def test_poisoned_job_file_fails_and_scheduler_lives(self, service,
+                                                         poison):
+        """A job file is read back from disk, so it is outside input: a
+        spec the submit path would refuse fails its job, and the
+        scheduler thread goes on to the next one."""
+        poisoned = service.queue.submit(poison)
+        good = service.submit(dict(SPEC, values=[0], seeds=[1]))
+        service.start(poll=0.05)
+        try:
+            deadline = time.monotonic() + 60.0
+            while (service.queue.get(good.id).state != "done"
+                   and time.monotonic() < deadline):
+                time.sleep(0.05)
+            assert service.queue.get(good.id).state == "done"
+            assert service.queue.get(poisoned.id).state == "failed"
+            assert service._thread.is_alive()
+        finally:
+            service.stop(timeout=10.0)
+
     def test_unsatisfiable_spec_fails_cleanly(self, service):
         job = service.submit({"param": "n", "values": [1]})
         service.run_until_idle()

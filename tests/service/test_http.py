@@ -6,6 +6,7 @@ layer lives in test_end_to_end.py.
 """
 
 import json
+import socket
 import urllib.error
 import urllib.request
 
@@ -34,6 +35,26 @@ def post(base, path, payload=None, raw=None):
         headers={"Content-Type": "application/json"})
     with urllib.request.urlopen(request) as response:
         return response.status, json.loads(response.read())
+
+
+def raw_post(base, content_length, body=b""):
+    """POST /api/jobs over a bare socket with a verbatim Content-Length;
+    read until the server closes, within 3 s.  Returns (status, payload)."""
+    host, port = base[len("http://"):].split(":")
+    head = (f"POST /api/jobs HTTP/1.1\r\nHost: {host}\r\n"
+            f"Content-Type: application/json\r\n"
+            f"Content-Length: {content_length}\r\n\r\n")
+    received = b""
+    with socket.create_connection((host, int(port)), timeout=3.0) as sock:
+        sock.sendall(head.encode() + body)
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            received += chunk
+    assert received, "no response"
+    head, _, payload = received.partition(b"\r\n\r\n")
+    return int(head.split()[1]), json.loads(payload)
 
 
 def error_of(callable_):
@@ -106,6 +127,26 @@ class TestJobRoutes:
             lambda: post(base, "/api/jobs", raw=b""))
         assert code == 400
         assert "empty request body" in payload["error"]
+
+    @pytest.mark.parametrize("content_length", ["abc", "-1"])
+    def test_bad_content_length_400(self, server, content_length):
+        _, base = server
+        code, payload = raw_post(base, content_length, b"{}")
+        assert code == 400
+        assert "Content-Length" in payload["error"]
+
+    def test_oversized_body_413_without_reading_it(self, server):
+        service, base = server
+        code, payload = raw_post(base, "100000000", b"{}")
+        assert code == 413
+        assert service.queue.jobs() == []
+
+    @pytest.mark.parametrize("body", [b"null", b"[1, 2]", b"7"])
+    def test_non_object_body_400(self, server, body):
+        _, base = server
+        code, payload = raw_post(base, len(body), body)
+        assert code == 400
+        assert "JSON object" in payload["error"]
 
     def test_unknown_job_404(self, server):
         _, base = server

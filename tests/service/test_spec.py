@@ -67,6 +67,40 @@ class TestValidation:
         with pytest.raises(SpecError, match="unknown medium"):
             SweepSpec.from_dict({"medium": medium})
 
+    @pytest.mark.parametrize("data", [
+        {"n": "abc", "messages": 1},
+        {"messages": "x"},
+        {"mute": 1.5},
+        {"n": True},
+        {"observe": "yes"},
+        {"observe": 1},
+        {"tx_range": "100"},
+        {"interval": False},
+        {"warmup": float("nan")},
+        {"drain": float("inf")},
+        {"gossip_period": None},
+        {"cpa_k": "1"},
+        {"paths_required": 2.0},
+        {"protocols": [["byzcast"]]},
+    ])
+    def test_mistyped_field_rejected(self, data):
+        with pytest.raises(SpecError):
+            SweepSpec.from_dict(data)
+
+    def test_mistyped_field_rejected_on_direct_construction(self):
+        with pytest.raises(SpecError, match="seeds must contain integers"):
+            SweepSpec(seeds=(1.0,))
+
+    @pytest.mark.parametrize("data", [
+        {"param": "paths_required", "values": [0]},
+        {"suppression_threshold": 0},
+        {"gossip_period": -1.0},
+    ])
+    def test_every_rejected_config_surfaces_as_spec_error(self, data):
+        spec = SweepSpec.from_dict(data)
+        with pytest.raises(SpecError):
+            spec.expand()
+
     def test_invalid_scenario_surfaces_as_spec_error(self):
         spec = SweepSpec.from_dict({"param": "n", "values": [1]})
         with pytest.raises(SpecError):

@@ -10,6 +10,7 @@ and observe-off records degrade to clean 404s on the series endpoints.
 import io
 import json
 import logging
+import multiprocessing
 import signal
 import threading
 import time
@@ -20,6 +21,7 @@ import pytest
 
 from repro.cli import _make_shutdown_handler
 from repro.service import CampaignService, make_server
+from repro.sim import experiment
 from repro.sim.campaign import parallel_map
 from repro.telemetry.log import configure, get_logger
 from repro.telemetry.metrics import parse_exposition, sample_value
@@ -240,6 +242,39 @@ class TestGracefulStop:
             runner.join(timeout=60.0)
             assert done, "parallel_map hung under a parent SIGTERM handler"
             assert done[0] == [2, 4, 6, 8]
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+
+    def test_pool_reap_reaches_a_worker_that_has_not_initialised(
+            self, monkeypatch):
+        """The first worker can finish every task before the second has
+        run its initializer; the reap SIGTERM then reaches a worker still
+        holding the parent's handler.  Forced here by delaying every
+        initializer but the first."""
+        started = multiprocessing.Value("i", 0)
+        real_init = experiment.pool_worker_init
+
+        def late_init():
+            with started.get_lock():
+                index = started.value
+                started.value += 1
+            if index:
+                time.sleep(1.0)
+            real_init()
+
+        monkeypatch.setattr(experiment, "pool_worker_init", late_init)
+        previous = signal.signal(signal.SIGTERM, lambda signum, frame: None)
+        try:
+            done = []
+            runner = threading.Thread(
+                target=lambda: done.append(
+                    parallel_map(_double, [1, 2, 3, 4], workers=2)),
+                daemon=True)
+            runner.start()
+            runner.join(timeout=30.0)
+            assert done, "the reap was swallowed by a late worker"
+            assert done[0] == [2, 4, 6, 8]
+            assert started.value == 2
         finally:
             signal.signal(signal.SIGTERM, previous)
 

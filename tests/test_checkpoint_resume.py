@@ -44,10 +44,19 @@ from repro.sim.checkpoint import (
     describe_checkpoint,
 )
 from repro.sim.experiment import MEDIA
-from repro.tracing import TraceRecorder
 from repro.workloads.scenarios import AdversaryMix, ScenarioConfig
 
 pytestmark = pytest.mark.checkpoint
+
+
+class V6Recorder:
+    """Stands in for the tap recorder a version-6 observed world
+    carried: picklable, holding the world's clock and its own events."""
+
+    def __init__(self, sim):
+        self.sim = sim
+        self.events = []
+
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -324,7 +333,7 @@ def test_v4_observed_snapshot_is_refused_and_run_restarts(
         world = build_world(ck)
         with _instruments(world.profiler, world.obs):
             world.sim.run(until=5.0)
-        world.recorder = TraceRecorder(world.sim)
+        world.recorder = V6Recorder(world.sim)
         with monkeypatch.context() as patch:
             patch.setattr(obs_context.Span, "__getstate__",
                           lambda span: span._value() + (0,))

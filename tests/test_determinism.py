@@ -5,7 +5,9 @@ same placement, same collisions, same suspicions, same numbers.  These
 tests re-run complete simulations and compare full event traces.
 """
 
+from repro import obs
 from repro.adversary.behaviors import MuteBehavior
+from repro.obs import ObsConfig, ObsContext
 from repro.sim.experiment import ExperimentConfig, run_experiment
 from repro.sim.network import NetworkBuilder
 from repro.workloads.scenarios import AdversaryMix, ScenarioConfig
@@ -13,15 +15,14 @@ from repro.workloads.scenarios import AdversaryMix, ScenarioConfig
 
 def run_traced(seed):
     net = (NetworkBuilder(seed=seed).diamond()
-           .with_behavior(2, MuteBehavior())
-           .with_tracing("tx", "rx", "collision", "accept", "suspect")
-           .build().warm_up())
-    for i in range(4):
-        net.nodes[0].broadcast(f"m{i}".encode())
-        net.run(3.0)
-    net.run(5.0)
-    return [(round(e.time, 9), e.category, e.node, tuple(sorted(
-        e.details.items()))) for e in net.tracer.events]
+           .with_behavior(2, MuteBehavior()).build())
+    with obs.session(ObsContext(ObsConfig(), sim=net.sim)) as ctx:
+        net.warm_up()
+        for i in range(4):
+            net.nodes[0].broadcast(f"m{i}".encode())
+            net.run(3.0)
+        net.run(5.0)
+    return ctx.span_dicts()
 
 
 class TestTraceDeterminism:

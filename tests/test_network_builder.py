@@ -2,9 +2,11 @@
 
 import pytest
 
+from repro import obs
 from repro.adversary.behaviors import MuteBehavior
 from repro.crypto import dsa
 from repro.crypto.keystore import DsaScheme
+from repro.obs import ObsConfig, ObsContext
 from repro.radio.propagation import LogNormalShadowing
 from repro.sim.network import NetworkBuilder
 
@@ -65,13 +67,13 @@ class TestLiveNetwork:
         assert net.energy.meter(0).tx_packets > 0
 
     def test_tracer_attached(self):
-        net = (NetworkBuilder(seed=3).line(3)
-               .with_tracing("accept", "tx").build().warm_up())
-        msg_id = net.nodes[0].broadcast(b"traced")
-        net.run(10.0)
-        assert net.tracer is not None
-        accepts = net.tracer.select(category="accept")
-        assert {e.node for e in accepts} == {1, 2}
+        net = NetworkBuilder(seed=3).line(3).build().warm_up()
+        with obs.session(ObsContext(ObsConfig(), sim=net.sim)) as ctx:
+            msg_id = net.nodes[0].broadcast(b"traced")
+            net.run(10.0)
+        delivers = [span for span in ctx.spans if span.phase == "deliver"]
+        assert {span.node for span in delivers} == {1, 2}
+        assert {span.msg for span in delivers} == {tuple(msg_id)}
 
     def test_custom_scheme(self):
         params = dsa.generate_parameters(p_bits=256, q_bits=160, seed=b"nb")

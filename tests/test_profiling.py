@@ -7,7 +7,6 @@ from repro.crypto.keystore import HmacScheme, KeyDirectory
 from repro.des.kernel import Simulator
 from repro.sim import ExperimentConfig, run_experiment
 from repro.sim.campaign import result_to_record
-from repro.tracing import TraceRecorder
 from repro.workloads.scenarios import ScenarioConfig
 
 
@@ -226,26 +225,3 @@ class TestExperimentProfile:
             record.pop("runtime", None)  # embeds profile totals + wall
         assert (json.dumps(plain_rec, sort_keys=True)
                 == json.dumps(prof_rec, sort_keys=True))
-
-
-class TestTracerProfile:
-    def test_record_profile_emits_events(self):
-        sim = Simulator()
-        recorder = TraceRecorder(sim)
-        prof = profiling.Profiler()
-        prof.add("crypto.verify", 0.5, count=10)
-        prof.add("codec.encode", 0.1, count=4)
-        recorder.record_profile(prof)
-        events = recorder.select(category="profile")
-        assert len(events) == 2
-        assert events[0].details == {"phase": "codec.encode", "count": 4,
-                                     "seconds": 0.1}
-        assert events[0].node == -1
-
-    def test_profile_category_filterable(self):
-        sim = Simulator()
-        recorder = TraceRecorder(sim, categories=("tx",))
-        prof = profiling.Profiler()
-        prof.add("crypto.verify", 0.5)
-        recorder.record_profile(prof)
-        assert recorder.events == []
