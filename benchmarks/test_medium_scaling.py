@@ -6,14 +6,18 @@ transmissions resolved to completion, timed on the production
 Two regimes:
 
 * **Constant degree** (the sweep benchmarks' regime): the field grows
-  with n so mean degree stays ~8.  The scan is O(n) per completion, the
-  vectorized medium a fixed handful of numpy calls, so the gap must
-  grow with n (>= 3x at n=500).
+  with n so mean degree stays ~8.  The scan is O(n) per completion; the
+  vectorized medium builds its link table once (O(n * degree)) and then
+  spends a handful of numpy calls over one row per transmission, so the
+  gap must grow with n (>= 3x at n=500).
 * **Fixed field** (the paper's own SWANS setting, and E12's): the field
   is frozen at the n=100 / degree-9 size while n grows, so density —
   and with it the per-completion candidate count — grows linearly.
   Mask arithmetic replaces the scalar per-candidate walk: the
   vectorized medium must be >= 5x faster than the scan at n=2000.
+  This is where the per-topology link table pays for itself worst: most
+  of the 2000 radios never transmit in 400 transmissions, yet the table
+  covers all of them.
 
 Every timed pair also asserts identical ``MediumStats`` — the backends
 are pinned bit-for-bit equivalent (tests/test_medium_grid_equivalence.py

@@ -7,9 +7,12 @@ event heap with a virtual clock, cancellable events, and periodic tasks.
 Determinism guarantees
 ----------------------
 Events scheduled for the same instant fire in the order they were scheduled
-(FIFO tie-breaking by a monotonically increasing sequence number).  Combined
-with seeded RNG streams (:mod:`repro.des.random`), a simulation run is fully
-reproducible from its seed.
+(FIFO tie-breaking by a monotonically increasing sequence number).  Heap
+entries are ``(time, seq, event)`` tuples, so every sift compares two
+floats (and, on a tie, two ints) in C; ``seq`` is unique, so the event
+itself is never compared.  Combined with seeded RNG streams
+(:mod:`repro.des.random`), a simulation run is fully reproducible from
+its seed.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 import heapq
 import math
 from time import perf_counter
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, List, Optional, Tuple
 
 from .. import profiling
 
@@ -62,9 +65,6 @@ class Event:
         """True while the event is still pending (not cancelled, not fired)."""
         return not self.cancelled
 
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
         name = getattr(self.callback, "__name__", repr(self.callback))
@@ -87,7 +87,7 @@ class Simulator:
     SLAB_LIMIT = 4096
 
     def __init__(self) -> None:
-        self._heap: List[Event] = []
+        self._heap: List[Tuple[float, int, Event]] = []
         self._seq = 0
         self._now = 0.0
         self._running = False
@@ -120,7 +120,7 @@ class Simulator:
         """Number of events still pending on the heap, excluding cancelled
         ones (a cancelled event stays heap-resident until popped but will
         never fire, so it does not count as pending)."""
-        return sum(1 for ev in self._heap if not ev.cancelled)
+        return sum(1 for _, _, ev in self._heap if not ev.cancelled)
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -131,21 +131,20 @@ class Simulator:
 
         Returns the :class:`Event`, which can be cancelled.
         """
-        if delay < 0:
-            raise SimulationError(f"negative delay: {delay}")
-        if math.isnan(delay) or math.isinf(delay):
-            raise SimulationError(f"non-finite delay: {delay}")
+        if not 0.0 <= delay < math.inf:
+            raise _bad_delay(delay)
         return self.schedule_at(self._now + delay, callback, *args)
 
     def schedule_at(self, time: float, callback: Callable[..., Any],
                     *args: Any) -> Event:
-        """Schedule ``callback(*args)`` at absolute virtual ``time``."""
-        if time < self._now:
-            raise SimulationError(
-                f"cannot schedule in the past: {time} < {self._now}")
-        event = Event(time, self._seq, callback, args)
-        self._seq += 1
-        heapq.heappush(self._heap, event)
+        """Schedule ``callback(*args)`` at absolute virtual ``time``, which
+        must be finite and not in the past."""
+        if not self._now <= time < math.inf:
+            raise _bad_time(time, self._now)
+        seq = self._seq
+        event = Event(time, seq, callback, args)
+        self._seq = seq + 1
+        heapq.heappush(self._heap, (time, seq, event))
         return event
 
     def call_soon(self, callback: Callable[..., Any], *args: Any) -> Event:
@@ -165,33 +164,31 @@ class Simulator:
         high-volume timers that never need cancellation (medium completion,
         MAC backoff); the steady state then allocates no Event objects.
         """
-        if delay < 0:
-            raise SimulationError(f"negative delay: {delay}")
-        if math.isnan(delay) or math.isinf(delay):
-            raise SimulationError(f"non-finite delay: {delay}")
+        if not 0.0 <= delay < math.inf:
+            raise _bad_delay(delay)
         self.schedule_at_transient(self._now + delay, callback, *args)
 
     def schedule_at_transient(self, time: float,
                               callback: Callable[..., Any],
                               *args: Any) -> None:
         """:meth:`schedule_at`, slab-allocated and uncancellable."""
-        if time < self._now:
-            raise SimulationError(
-                f"cannot schedule in the past: {time} < {self._now}")
+        if not self._now <= time < math.inf:
+            raise _bad_time(time, self._now)
+        seq = self._seq
         free = self._free
         if free:
             event = free.pop()
             event.time = time
-            event.seq = self._seq
+            event.seq = seq
             event.callback = callback
             event.args = args
             event.cancelled = False
             self._recycled += 1
         else:
-            event = Event(time, self._seq, callback, args)
+            event = Event(time, seq, callback, args)
             event.transient = True
-        self._seq += 1
-        heapq.heappush(self._heap, event)
+        self._seq = seq + 1
+        heapq.heappush(self._heap, (time, seq, event))
 
     def _recycle(self, event: Event) -> None:
         if len(self._free) < self.SLAB_LIMIT:
@@ -210,12 +207,12 @@ class Simulator:
         Returns False when the heap is exhausted, True otherwise.
         """
         while self._heap:
-            event = heapq.heappop(self._heap)
+            time, _, event = heapq.heappop(self._heap)
             if event.cancelled:
                 if event.transient:
                     self._recycle(event)
                 continue
-            self._now = event.time
+            self._now = time
             event.cancelled = True  # mark fired; `active` becomes False
             self._events_fired += 1
             prof = profiling.ACTIVE
@@ -248,7 +245,7 @@ class Simulator:
         fired = 0
         try:
             while self._heap and not self._stopped:
-                if until is not None and self._heap[0].time > until:
+                if until is not None and self._heap[0][0] > until:
                     break
                 if max_events is not None and fired >= max_events:
                     break
@@ -279,6 +276,19 @@ class Simulator:
         state["_free"] = []
         state["_recycled"] = 0
         return state
+
+
+def _bad_delay(delay: float) -> SimulationError:
+    if delay < 0:
+        return SimulationError(f"negative delay: {delay}")
+    return SimulationError(f"non-finite delay: {delay}")
+
+
+def _bad_time(time: float, now: float) -> SimulationError:
+    if time < now:
+        return SimulationError(
+            f"cannot schedule in the past: {time} < {now}")
+    return SimulationError(f"non-finite event time: {time}")
 
 
 def _noop() -> None:  # placeholder callback for recycled slab records

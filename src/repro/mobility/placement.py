@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Union
 
 import networkx as nx
 import numpy as np
 
 from ..des.random import RandomStream
-from ..radio.geometry import Area, Position
+from ..radio.geometry import Area, Position, close_pairs
 
 __all__ = [
     "uniform_positions",
@@ -78,14 +78,6 @@ def line_positions(count: int, spacing: float,
     return [Position(index * spacing, y) for index in range(count)]
 
 
-#: Cells are this much wider than the range, which absorbs the rounding
-#: of the cell-index division: two points closer than the range then never
-#: land more than one cell apart.  With at most ``_MAX_CELLS_PER_AXIS``
-#: cells the accumulated error is below 2**-31 of a cell.
-_CELL_PAD = 1e-9
-_MAX_CELLS_PER_AXIS = 1 << 20
-
-
 def _points(positions: Union[Sequence[Position], np.ndarray],
             subset: Optional[Sequence[int]] = None) -> np.ndarray:
     """Coordinates as an ``(n, 2)`` float64 array, restricted to ``subset``."""
@@ -99,62 +91,10 @@ def _points(positions: Union[Sequence[Position], np.ndarray],
     return points
 
 
-def _close_pairs(points: np.ndarray, tx_range: float
-                 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every pair of points closer than ``tx_range``, each exactly once.
-
-    Returns ``(order, first, second)``: pair ``k`` joins points
-    ``order[first[k]]`` and ``order[second[k]]``, with ``first[k] <
-    second[k]``; the order of the pairs is unspecified.  Points are
-    binned into square cells at least ``tx_range`` wide and sorted by
-    cell, column-major, so the cells that can hold a partner not yet
-    paired with a point form two runs of the sorted order: the rest of its
-    own cell plus the cell above, and the three facing cells of the next
-    column.  Only those candidates are tested, with the float64 compare of
-    :meth:`Position.within`.
-    """
-    n = len(points)
-    r2 = tx_range * tx_range
-    if n < 2 or not r2 > 0.0:
-        empty = np.empty(0, dtype=np.intp)
-        return np.arange(n), empty, empty
-    x, y = points[:, 0], points[:, 1]
-    left, bottom = x.min(), y.min()
-    side = max(abs(tx_range) * (1.0 + _CELL_PAD),
-               max(x.max() - left, y.max() - bottom) / _MAX_CELLS_PER_AXIS)
-    column = np.floor((x - left) / side).astype(np.int64)
-    row = np.floor((y - bottom) / side).astype(np.int64)
-    # Two spare rows on top of each column keep "row - 1" and "row + 1"
-    # from aliasing a neighbouring column's cells.
-    stride = int(row.max()) + 3
-    keys = column * stride + row
-    order = np.argsort(keys)
-    keys = keys[order]
-    index = np.arange(n)
-    starts = np.concatenate((
-        index + 1,
-        np.searchsorted(keys, keys + (stride - 1), side="left")))
-    stops = np.concatenate((
-        np.searchsorted(keys, keys + 1, side="right"),
-        np.searchsorted(keys, keys + (stride + 1), side="right")))
-    counts = stops - starts
-    ends = np.cumsum(counts)
-    first = np.repeat(np.concatenate((index, index)), counts)
-    second = np.arange(ends[-1]) - np.repeat(ends - stops, counts)
-    # A complex array gathers x and y in one pass; its subtraction is the
-    # two real subtractions.
-    z = np.empty(n, dtype=np.complex128)
-    z.real, z.imag = x[order], y[order]
-    delta = z[first] - z[second]
-    dx, dy = delta.real, delta.imag
-    close = np.flatnonzero(dx * dx + dy * dy < r2)
-    return order, first[close], second[close]
-
-
 def connectivity_graph(positions: Sequence[Position],
                        tx_range: float) -> "nx.Graph":
     """The geometric graph induced by the transmission disks."""
-    order, first, second = _close_pairs(_points(positions), tx_range)
+    order, first, second = close_pairs(_points(positions), tx_range)
     a, b = order[first], order[second]
     low, high = np.minimum(a, b), np.maximum(a, b)
     by_low_then_high = np.lexsort((high, low))
@@ -174,7 +114,7 @@ def _split(points: np.ndarray, tx_range: float) -> Optional[str]:
     n = len(points)
     if n <= 1:
         return None
-    _, first, second = _close_pairs(points, tx_range)
+    _, first, second = close_pairs(points, tx_range)
     degree = np.bincount(first, minlength=n)
     degree += np.bincount(second, minlength=n)
     if not degree.all():

@@ -59,6 +59,8 @@ class EnergyModel(MediumObserver):
         self._medium = medium
         self._config = config
         self._meters: Dict[int, EnergyMeter] = {}
+        # Frame size -> joules one receiver spends on such a frame.
+        self._rx_joules: Dict[int, float] = {}
         self._started_at = sim.now
         medium.add_observer(self)
 
@@ -68,7 +70,11 @@ class EnergyModel(MediumObserver):
         return self._config
 
     def meter(self, node_id: int) -> EnergyMeter:
-        return self._meters.setdefault(node_id, EnergyMeter())
+        meter = self._meters.get(node_id)
+        if meter is None:
+            # Insertion order is what ``summary`` sums in.
+            meter = self._meters[node_id] = EnergyMeter()
+        return meter
 
     def total_joules(self, node_id: int) -> float:
         elapsed = self._sim.now - self._started_at
@@ -94,8 +100,16 @@ class EnergyModel(MediumObserver):
             "mean_node_joules": sum(actives) / len(actives),
         }
 
+    def _rx_cost(self, packet: Packet) -> float:
+        """Joules one receiver spends on ``packet``: its airtime depends
+        on its size only, so this runs once per size, not per receiver."""
+        joules = self._rx_joules[packet.size_bytes] = (
+            self._config.rx_watts * self._medium.airtime(packet))
+        return joules
+
     # ------------------------------------------------------------------
-    # MediumObserver hooks
+    # MediumObserver hooks (the receive side runs once per candidate
+    # receiver of every frame, so it looks up before it calls)
     # ------------------------------------------------------------------
     def on_transmit(self, sender: int, packet: Packet) -> None:
         airtime = self._medium.airtime(packet)
@@ -104,12 +118,21 @@ class EnergyModel(MediumObserver):
         meter.tx_packets += 1
 
     def on_deliver(self, receiver: int, packet: Packet) -> None:
-        airtime = self._medium.airtime(packet)
-        meter = self.meter(receiver)
-        meter.rx_joules += self._config.rx_watts * airtime
+        meter = self._meters.get(receiver)
+        if meter is None:
+            meter = self.meter(receiver)
+        joules = self._rx_joules.get(packet.size_bytes)
+        if joules is None:
+            joules = self._rx_cost(packet)
+        meter.rx_joules += joules
         meter.rx_packets += 1
 
     def on_collision(self, receiver: int, packet: Packet) -> None:
         # A collided reception still burned receiver airtime.
-        airtime = self._medium.airtime(packet)
-        self.meter(receiver).rx_joules += self._config.rx_watts * airtime
+        meter = self._meters.get(receiver)
+        if meter is None:
+            meter = self.meter(receiver)
+        joules = self._rx_joules.get(packet.size_bytes)
+        if joules is None:
+            joules = self._rx_cost(packet)
+        meter.rx_joules += joules

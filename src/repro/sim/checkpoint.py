@@ -65,7 +65,10 @@ __all__ = [
 #: ``recorder``), ``Span`` state lost its ninth slot (the recorder
 #: stream position) and the context tallies phases in a plain dict
 #: instead of registry counters.
-CHECKPOINT_VERSION = 7
+#: v8: the kernel heap holds ``(time, seq, event)`` tuples and ``Event``
+#: lost ``__lt__``; the vectorized medium keeps its live transmissions
+#: and carrier-sense horizons in arrays.
+CHECKPOINT_VERSION = 8
 
 
 class CheckpointError(RuntimeError):

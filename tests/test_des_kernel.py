@@ -105,6 +105,33 @@ def test_schedule_at_in_past_rejected():
         sim.schedule_at(0.5, lambda: None)
 
 
+@pytest.mark.parametrize("method", ["schedule_at", "schedule_at_transient"])
+@pytest.mark.parametrize("time", [float("nan"), float("inf"),
+                                  float("-inf")])
+def test_non_finite_absolute_time_rejected(method, time):
+    sim = Simulator()
+    with pytest.raises(SimulationError):
+        getattr(sim, method)(time, lambda: None)
+    assert sim.pending == 0
+
+
+def test_nan_time_cannot_poison_the_clock():
+    # A NaN heap key once fired out of order and left the clock at NaN,
+    # after which the "not in the past" check passed for every time.
+    sim = Simulator()
+    fired = []
+    for when in (5.0, 1.0, 4.0, 2.0, 3.0, 0.5):
+        sim.schedule_at(when, fired.append, when)
+    with pytest.raises(SimulationError):
+        sim.schedule_at(float("nan"), fired.append, "nan")
+    sim.run(until=2.0)
+    with pytest.raises(SimulationError):
+        sim.schedule_at(1.0, fired.append, "past")
+    sim.run()
+    assert fired == [0.5, 1.0, 2.0, 3.0, 4.0, 5.0]
+    assert sim.now == 5.0
+
+
 def test_events_scheduled_during_execution():
     sim = Simulator()
     order = []

@@ -5,8 +5,8 @@ medium's per-radio resolution loop with numpy mask arithmetic.  That is
 only an optimisation if it is *invisible*: every scenario must produce
 bit-for-bit identical physical events, stats, and RNG consumption on
 both backends.  This suite pins that guarantee over seeded random
-placements, mobility traces, and collision-heavy workloads (> 20
-scenarios total, each run both ways).
+placements, mobility traces, collision-heavy workloads and
+carrier-sense probes (> 20 scenarios total, each run both ways).
 
 The scenarios drive the medium directly (raw ``attach`` / ``transmit`` /
 ``update_position``) so the comparison covers the exact layers the
@@ -64,10 +64,42 @@ def _scenario_events(seed, n, *, heavy, mobile):
     return positions, ranges, transmissions, moves
 
 
+def _probe_events(seed, n, transmissions):
+    """Carrier-sense probes and the topology changes they must track,
+    drawn from their own stream so the base scenario is unchanged.
+
+    Returns ``(probes, ends, changes)``: probes at random instants,
+    the instant each transmission ends (probed both before and after its
+    completion fires), and ``(time, op, node, value)`` changes --
+    ``range`` and ``attach`` timed inside a transmission's airtime,
+    ``power`` anywhere."""
+    rng = random.Random(seed + 7919)
+    horizon = transmissions[-1][0] + 0.01
+    probes = [(rng.uniform(0.0, horizon), rng.randrange(n))
+              for _ in range(40)]
+    ends = [(when + Packet(sender=sender, payload=None,
+                           size_bytes=size).airtime(1_000_000.0, 192e-6),
+             sender)
+            for when, sender, size in transmissions]
+    changes = []
+    for when, sender, size in rng.sample(transmissions, 6):
+        changes.append((when + 5e-5, "range", sender,
+                        rng.uniform(40.0, 200.0)))
+    for when, sender, size in rng.sample(transmissions, 6):
+        changes.append((when + 5e-5, "power", rng.randrange(n),
+                        rng.random() < 0.5))
+    when, _, _ = transmissions[len(transmissions) // 2]
+    changes.append((when + 5e-5, "attach", n,
+                    Position(rng.uniform(0.0, SIDE), rng.uniform(0.0, SIDE))))
+    return probes, ends, changes
+
+
 def run_scenario(seed, medium_kind, *, n=30, heavy=False, mobile=False,
-                 shadowing=False):
+                 shadowing=False, probes=False):
     """Run one generated scenario on the :data:`MEDIUM_KINDS` backend
-    ``medium_kind``; return (event log, stats, RNG state)."""
+    ``medium_kind``; return (event log, stats, RNG state).  ``probes``
+    adds carrier-sense probes, range and power changes and a radio that
+    attaches while transmissions are on air."""
     positions, ranges, transmissions, moves = _scenario_events(
         seed, n, heavy=heavy, mobile=mobile)
     sim = Simulator()
@@ -93,18 +125,50 @@ def run_scenario(seed, medium_kind, *, n=30, heavy=False, mobile=False,
                       (lambda packet, i=i:
                        log.append(("handler", sim.now, i, packet.sender))))
 
+    def busy(node_id):
+        log.append(("busy", sim.now, node_id,
+                    medium.channel_busy_at(node_id)))
+
     def send(sender, size):
-        medium.transmit(sender, Packet(sender=sender, payload=None,
-                                       size_bytes=size, kind="data"))
+        tx = medium.transmit(sender, Packet(sender=sender, payload=None,
+                                            size_bytes=size, kind="data"))
+        if probes:
+            # Scheduled now, so it fires after the completion at tx.end.
+            sim.schedule_at(tx.end, busy, sender)
+            sim.schedule_at(tx.end, busy, (sender + 1) % n)
 
     def move(node_id, position):
         positions[node_id] = position
         medium.update_position(node_id, position)
+        if probes:
+            busy(node_id)
+
+    def change(op, node_id, value):
+        if op == "range":
+            medium.set_tx_range(node_id, value)
+        elif op == "power":
+            medium.set_enabled(node_id, value)
+        else:
+            positions[node_id] = value
+            medium.attach(node_id, (lambda: positions[node_id]), 120.0,
+                          (lambda packet: log.append(
+                              ("handler", sim.now, node_id, packet.sender))))
+        busy(node_id)
 
     for when, sender, size in transmissions:
         sim.schedule_at(when, send, sender, size)
     for when, node_id, position in moves:
         sim.schedule_at(when, move, node_id, position)
+    if probes:
+        timed, ends, changes = _probe_events(seed, n, transmissions)
+        for when, node_id in timed:
+            sim.schedule_at(when, busy, node_id)
+        for when, sender in ends:
+            # Scheduled before the run, so it fires before the
+            # completion at the same instant.
+            sim.schedule_at(when, busy, sender)
+        for when, op, node_id, value in changes:
+            sim.schedule_at(when, change, op, node_id, value)
     sim.run()
     return log, medium.stats, rng.getstate()
 
@@ -139,6 +203,29 @@ class TestGridEquivalence:
         # LogNormalShadowing draws from the medium RNG on every in-reach
         # candidate; a superset mismatch would desynchronise the stream.
         assert_equivalent(300 + seed, n=24, mobile=True, shadowing=True)
+
+
+class TestCarrierSenseEquivalence:
+    """``channel_busy_at`` answers identically on both backends: at
+    random instants, exactly at a transmission's end before and after
+    its completion, after moves, power toggles, range changes on air and
+    a radio attaching on air, with heterogeneous ranges."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_static_probes(self, seed):
+        assert_equivalent(400 + seed, n=24, probes=True)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_probes_under_collisions(self, seed):
+        assert_equivalent(500 + seed, n=24, heavy=True, probes=True)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_probes_under_mobility(self, seed):
+        log, _, _ = run_scenario(600 + seed, "brute", n=24, mobile=True,
+                                 probes=True)
+        answers = {entry[3] for entry in log if entry[0] == "busy"}
+        assert answers == {True, False}
+        assert_equivalent(600 + seed, n=24, mobile=True, probes=True)
 
 
 class TestExperimentLevelEquivalence:

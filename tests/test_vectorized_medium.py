@@ -3,15 +3,18 @@
 ``tests/test_medium_grid_equivalence.py`` pins the equivalence on a
 fixed set of seeded scenarios; this suite closes the generator gap with
 hypothesis — arbitrary placements, per-node tx ranges, mid-run position
-updates and power toggles, knife-edge boundary distances, and sparse
-fields with dozens of simultaneously live transmissions — asserting
-bit-for-bit identical event logs (delivery *order* included),
-``MediumStats`` and RNG state between the scalar ``Medium`` and
-``VectorizedMedium``, plus checkpoint/resume byte-identity for full
-experiments on the vectorized backend.
+updates and power toggles, range changes and radios attaching while
+transmissions are on air, carrier-sense probes, knife-edge boundary
+distances, and sparse fields with dozens of simultaneously live
+transmissions — asserting bit-for-bit identical event logs (delivery
+*order* and every ``channel_busy_at`` answer included), ``MediumStats``
+and RNG state between the scalar ``Medium`` and ``VectorizedMedium``,
+plus pickle round trips with transmissions on air and checkpoint/resume
+byte-identity for full experiments on the vectorized backend.
 """
 
 import dataclasses
+import itertools
 import pickle
 
 import pytest
@@ -47,19 +50,24 @@ sparse_coord = st.floats(min_value=0.0, max_value=10 * SIDE,
 
 
 @st.composite
-def scenario_plans(draw, *, with_power=True):
+def scenario_plans(draw, *, with_power=True, probes=False):
     """One generated scenario: placements, per-node ranges, and a
     time-ordered mixed schedule of transmissions, moves, and power
-    toggles."""
+    toggles.  ``probes`` adds carrier-sense probes (at random instants
+    and at every transmission's end, before and after its completion),
+    range changes and radios attaching mid-run."""
     n = draw(st.integers(min_value=4, max_value=16))
     seed = draw(st.integers(min_value=0, max_value=2**31))
     positions = [(draw(coord), draw(coord)) for _ in range(n)]
     ranges = [draw(st.floats(min_value=40.0, max_value=180.0,
                              allow_nan=False)) for _ in range(n)]
-    kinds = ["tx", "move"] + (["power"] if with_power else [])
+    kinds = ["tx", "move"] + (["power"] if with_power else []) \
+        + (["busy", "busy", "range", "attach"] if probes else [])
     raw = draw(st.lists(
         st.tuples(
-            st.floats(min_value=0.0, max_value=0.05, allow_nan=False),
+            # Probed plans are packed tighter, so changes land on air.
+            st.floats(min_value=0.0, max_value=0.01 if probes else 0.05,
+                      allow_nan=False),
             st.sampled_from(kinds),
             st.integers(min_value=0, max_value=n - 1),
             coord, coord,
@@ -71,7 +79,7 @@ def scenario_plans(draw, *, with_power=True):
     if not any(kind == "tx" for _, kind, *_ in events):
         events.append((0.06, "tx", 0, 0.0, 0.0, 100, True))
     return {"n": n, "seed": seed, "positions": positions,
-            "ranges": ranges, "events": events}
+            "ranges": ranges, "events": events, "probes": probes}
 
 
 def propagation_model(shadowing):
@@ -143,23 +151,52 @@ def drive(plan, medium_kind, *, shadowing=False):
             log.append(("col", sim.now, receiver, packet.sender))
 
     medium.add_observer(Recorder())
-    for i in range(plan["n"]):
-        medium.attach(i, (lambda i=i: positions[i]), plan["ranges"][i],
-                      (lambda packet, i=i:
+
+    def attach(i, tx_range):
+        medium.attach(i, (lambda: positions[i]), tx_range,
+                      (lambda packet:
                        log.append(("handler", sim.now, i, packet.sender))))
+
+    for i in range(plan["n"]):
+        attach(i, plan["ranges"][i])
+    probes = plan.get("probes", False)
+    extra = itertools.count(plan["n"])
+
+    def busy(node):
+        log.append(("busy", sim.now, node, medium.channel_busy_at(node)))
 
     def fire(kind, node, x, y, size, flag):
         if kind == "tx":
-            medium.transmit(node, Packet(sender=node, payload=None,
-                                         size_bytes=size, kind="data"))
+            tx = medium.transmit(node, Packet(sender=node, payload=None,
+                                              size_bytes=size, kind="data"))
+            if probes:
+                # Scheduled now, so it fires after the completion.
+                sim.schedule_at(tx.end, busy, node)
         elif kind == "move":
             positions[node] = Position(x, y)
             medium.update_position(node, positions[node])
-        else:
+            if probes:
+                busy(node)
+        elif kind == "power":
             medium.set_enabled(node, flag)
+        elif kind == "busy":
+            busy(node)
+        elif kind == "range":
+            medium.set_tx_range(node, 40.0 + x / 2.0)
+            busy(node)
+        else:
+            new = next(extra)
+            positions[new] = Position(x, y)
+            attach(new, 40.0 + y / 2.0)
+            busy(new)
 
     for when, kind, node, x, y, size, flag in plan["events"]:
         sim.schedule_at(when, fire, kind, node, x, y, size, flag)
+        if probes and kind == "tx":
+            # Scheduled before the run, so it fires before the
+            # completion at the same instant.
+            sim.schedule_at(when + medium.airtime(Packet(
+                sender=node, payload=None, size_bytes=size)), busy, node)
     sim.run()
     return log, medium.stats, rng.getstate()
 
@@ -177,6 +214,57 @@ class _FixedPosition:
 
 def _drop(packet):
     pass
+
+
+class _Log(MediumObserver):
+    """Picklable event log (the closures in :func:`drive` are not)."""
+
+    def __init__(self, sim):
+        self.sim = sim
+        self.entries = []
+
+    def on_transmit(self, sender, packet):
+        self.entries.append(("tx", self.sim.now, sender))
+
+    def on_deliver(self, receiver, packet):
+        self.entries.append(("rx", self.sim.now, receiver, packet.sender))
+
+    def on_collision(self, receiver, packet):
+        self.entries.append(("col", self.sim.now, receiver, packet.sender))
+
+
+class _Heard:
+    def __init__(self, log, node):
+        self.log = log
+        self.node = node
+
+    def __call__(self, packet):
+        self.log.entries.append(
+            ("handler", self.log.sim.now, self.node, packet.sender))
+
+
+def _busy(log, medium, node):
+    log.entries.append(
+        ("busy", log.sim.now, node, medium.channel_busy_at(node)))
+
+
+def storm_world(plan, medium_kind):
+    """A live-storm plan as a picklable world: (sim, medium, log, rng)."""
+    sim = Simulator()
+    rng = RandomStream(plan["seed"])
+    medium = MEDIUM_KINDS[medium_kind](sim, rng, propagation_model(True))
+    log = _Log(sim)
+    medium.add_observer(log)
+    n = plan["n"]
+    for i, (x, y) in enumerate(plan["positions"]):
+        medium.attach(i, _FixedPosition(x, y), plan["ranges"][i],
+                      _Heard(log, i))
+    for when, _, node, _, _, size, _ in plan["events"]:
+        sim.schedule_at(when, medium.transmit, node,
+                        Packet(sender=node, payload=None, size_bytes=size,
+                               kind="data"))
+        sim.schedule_at(when + 1e-4, _busy, log, medium, (node + 1) % n)
+    return sim, medium, log, rng
 
 
 def assert_matches_scalar(plan, **kwargs):
@@ -228,6 +316,33 @@ class TestPropertyEquivalence:
         _, stats, _ = assert_matches_scalar(plan, shadowing=True)
         assert stats.half_duplex_losses >= 1   # node 1 missed node 0
         assert stats.collisions >= 1           # node 4 jammed node 2
+
+    @settings(max_examples=40, **RELAXED)
+    @given(plan=scenario_plans(probes=True))
+    def test_carrier_sense_and_topology_changes(self, plan):
+        # channel_busy_at at random instants and at each transmission's
+        # end (before and after its completion), across moves, power
+        # toggles, range changes on air and radios attaching on air.
+        assert_matches_scalar(plan)
+
+    @settings(max_examples=15, **RELAXED)
+    @given(plan=live_storm_plans(),
+           cut=st.floats(min_value=0.0006, max_value=0.0015))
+    def test_pickle_with_transmissions_on_air(self, plan, cut):
+        # A vectorized medium pickled mid-flight continues exactly as the
+        # un-pickled run does, which is the scalar medium's run.
+        sim, medium, log, rng = storm_world(plan, "vectorized")
+        sim.run(until=cut)
+        assert any(not tx.completed for tx in medium._transmissions)
+        blob = pickle.dumps((sim, medium, log, rng))
+        sim.run()
+        outcome = (log.entries, medium.stats, rng.getstate())
+        sim, medium, log, rng = pickle.loads(blob)
+        sim.run()
+        assert (log.entries, medium.stats, rng.getstate()) == outcome
+        sim, medium, log, rng = storm_world(plan, "brute")
+        sim.run()
+        assert (log.entries, medium.stats, rng.getstate()) == outcome
 
     @pytest.mark.parametrize("shadowing", [False, True])
     @pytest.mark.parametrize("senders, listeners, spacing", [
@@ -292,6 +407,27 @@ class TestVectorizedBookkeeping:
         clone = pickle.loads(pickle.dumps(medium))
         assert clone._count == 100
         assert clone._capacity == 100  # trimmed: no growth history
+
+    def test_link_table_is_rebuilt_not_pickled(self):
+        sim = Simulator()
+        medium = VectorizedMedium(sim, RandomStream(1), UnitDisk())
+        for i in (3, 0, 5, 1, 4, 2):  # unsorted ids: rows rank by id
+            medium.attach(i, _FixedPosition(7.0 * i, 0.0), 20.0, _drop)
+        medium.transmit(0, Packet(sender=0, payload=None, size_bytes=50,
+                                  kind="data"))
+        table = medium._links
+        assert table is not None
+        clone = pickle.loads(pickle.dumps(medium))
+        assert clone._links is None
+        rebuilt = clone._build_links()
+        assert rebuilt.indptr == table.indptr
+        for name in ("cols", "reaches", "senses"):
+            assert getattr(rebuilt, name).tolist() \
+                == getattr(table, name).tolist()
+        # Slot 0 holds node 3 at x=21: node 0 is 21 m away, out of its
+        # 20 m reach; 1, 2, 4 and 5 are within it, listed in id order.
+        row = slice(table.indptr[0], table.indptr[1])
+        assert clone._ids[table.cols[row]].tolist() == [1, 2, 4, 5]
 
 
 class TestExperimentAndCheckpoint:
