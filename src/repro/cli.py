@@ -14,15 +14,13 @@ Commands
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence
 
 from . import arena
 from .chaos import FaultSchedule, OracleConfig
-from .core.config import ProtocolConfig
-from .core.node import NodeStackConfig
 from .obs import (
-    ObsConfig,
     causal_chain,
     latency_report,
     load_trace,
@@ -33,18 +31,18 @@ from .obs import (
     write_chrome,
     write_trace,
 )
+from .service.spec import CHANNELS, MOBILITY, RULES, SWEEP_PARAMS, SweepSpec
 from .sim.checkpoint import CheckpointConfig
 from .sim.experiment import (
     PROTOCOLS,
+    SCHEMES,
     TIERS,
     ExperimentConfig,
-    RivalKnobs,
     run_experiment,
     run_many,
 )
 from .sim.render import format_rows
-from .sim.sweeps import run_sweep
-from .workloads.scenarios import AdversaryMix, ScenarioConfig
+from .sim.sweeps import average_results
 
 __all__ = ["main", "build_parser"]
 
@@ -74,14 +72,6 @@ _EXPERIMENTS = (
 )
 
 
-#: Sweepable rival-protocol knobs: ``--param`` name -> RivalKnobs field.
-_RIVAL_PARAMS = {
-    "paths_required": "paths_required",
-    "suppression": "suppression_threshold",
-    "cpa_k": "cpa_k",
-}
-
-
 def _worker_count(text: str) -> int:
     try:
         value = int(text)
@@ -109,18 +99,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tx-range", type=float, default=100.0)
         p.add_argument("--degree", type=float, default=8.0,
                        help="target average node degree")
-        p.add_argument("--mobility",
-                       choices=("static", "waypoint", "walk",
-                                "gaussmarkov"),
-                       default="static")
-        p.add_argument("--channel", choices=("disk", "shadowing"),
-                       default="disk")
+        p.add_argument("--mobility", choices=MOBILITY, default="static")
+        p.add_argument("--channel", choices=CHANNELS, default="disk")
         p.add_argument("--messages", type=int, default=5)
         p.add_argument("--interval", type=float, default=1.5,
                        help="seconds between broadcasts")
         p.add_argument("--warmup", type=float, default=8.0)
         p.add_argument("--drain", type=float, default=15.0)
-        p.add_argument("--rule", choices=("cds", "mis+b"), default="cds",
+        p.add_argument("--rule", choices=RULES, default="cds",
                        help="overlay election rule")
         p.add_argument("--gossip-period", type=float, default=1.0)
         p.add_argument("--chaos", metavar="SPEC.json", default=None,
@@ -130,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--oracle", action="store_true",
                        help="check run-time invariants (forged/duplicate "
                             "delivery, latency and buffer bounds)")
-        p.add_argument("--scheme", choices=("hmac", "dsa"), default="hmac",
+        p.add_argument("--scheme", choices=SCHEMES, default="hmac",
                        help="signature scheme: hmac oracle (fast, default) "
                             "or real DSA (the paper's choice)")
         p.add_argument("--profile", action="store_true",
@@ -199,9 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_scenario_args(sweep_p)
     sweep_p.add_argument("--protocol", choices=arena.available_protocols(),
                          default="byzcast")
-    sweep_p.add_argument("--param",
-                         choices=("n", "mute") + tuple(_RIVAL_PARAMS),
-                         required=True,
+    sweep_p.add_argument("--param", choices=SWEEP_PARAMS, required=True,
                          help="what to sweep: scenario size/faults, or a "
                               "rival-protocol knob (paths_required, "
                               "suppression, cpa_k)")
@@ -388,60 +372,48 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _scenario_from(args: argparse.Namespace, *, n: Optional[int] = None,
-                   mute: Optional[int] = None) -> ScenarioConfig:
-    mute_count = args.mute if mute is None else mute
-    adversaries = (AdversaryMix.mute(mute_count) if mute_count
-                   else AdversaryMix.none())
-    return ScenarioConfig(
-        n=args.n if n is None else n,
-        tx_range=args.tx_range,
-        target_degree=args.degree,
-        mobility=args.mobility,
-        propagation=args.channel,
-        adversaries=adversaries,
-        seed=args.seed,
-    )
+def _configs_from(args: argparse.Namespace, protocols: Sequence[str], *,
+                  param: Optional[str] = None, values: Sequence[int] = (),
+                  seeds: Optional[Sequence[int]] = None
+                  ) -> List[ExperimentConfig]:
+    """The experiments one command line asks for.
 
-
-def _config_from(args: argparse.Namespace, protocol: str,
-                 scenario: ScenarioConfig) -> ExperimentConfig:
-    stack = NodeStackConfig(
-        overlay_rule=args.rule,
-        protocol=ProtocolConfig(
-            gossip_period=args.gossip_period,
-            verify_cache_size=getattr(args, "verify_cache", 1024),
-            wire_cache=not getattr(args, "no_wire_cache", False)))
-    chaos = (FaultSchedule.from_file(args.chaos)
-             if getattr(args, "chaos", None) else None)
-    oracle = (OracleConfig()
-              if getattr(args, "oracle", False) or chaos else None)
-    checkpoint = None
-    if getattr(args, "checkpoint_every", None) is not None:
-        checkpoint = CheckpointConfig(
-            every=args.checkpoint_every,
-            directory=getattr(args, "checkpoint_dir", ".repro-checkpoints"))
-    observe = None
-    if (getattr(args, "observe", False)
-            or getattr(args, "trace_out", None)
-            or getattr(args, "metrics_out", None)):
-        observe = ObsConfig()
-    rivals = None
-    knob_values = {field: getattr(args, field, None)
-                   for field in ("paths_required", "suppression_threshold",
-                                 "cpa_k")}
-    if any(value is not None for value in knob_values.values()):
-        rivals = RivalKnobs(**knob_values)
-    return ExperimentConfig(
-        scenario=scenario, protocol=protocol, stack=stack,
-        message_count=args.messages, message_interval=args.interval,
-        warmup=args.warmup, drain=args.drain,
-        chaos=chaos, oracle=oracle,
-        signature_scheme=getattr(args, "scheme", "hmac"),
-        profile=getattr(args, "profile", False),
-        checkpoint=checkpoint, observe=observe,
-        tier=getattr(args, "tier", "packet"),
-        rivals=rivals)
+    The flat knobs become a :class:`SweepSpec` — the one place they turn
+    into configs, so a command line and the equivalent service spec
+    share every ``config_key`` — and the single-host knobs a spec does
+    not carry (chaos, oracle, profile, the verify and wire caches,
+    checkpoints) are set on each expanded config.
+    """
+    spec = SweepSpec(
+        protocols=tuple(protocols), param=param, values=tuple(values),
+        seeds=(args.seed,) if seeds is None else tuple(seeds),
+        n=args.n, mute=args.mute, tx_range=args.tx_range,
+        degree=args.degree, mobility=args.mobility, channel=args.channel,
+        messages=args.messages, interval=args.interval,
+        warmup=args.warmup, drain=args.drain, rule=args.rule,
+        gossip_period=args.gossip_period, scheme=args.scheme,
+        tier=args.tier,
+        observe=bool(args.observe or getattr(args, "trace_out", None)
+                     or getattr(args, "metrics_out", None)),
+        paths_required=args.paths_required,
+        suppression_threshold=args.suppression_threshold,
+        cpa_k=args.cpa_k)
+    chaos = FaultSchedule.from_file(args.chaos) if args.chaos else None
+    host = dict(
+        chaos=chaos, oracle=OracleConfig() if args.oracle or chaos else None,
+        profile=args.profile,
+        checkpoint=(CheckpointConfig(every=args.checkpoint_every,
+                                     directory=args.checkpoint_dir)
+                    if args.checkpoint_every is not None else None))
+    configs = []
+    for config in spec.expand():
+        caches = dataclasses.replace(
+            config.stack.protocol, verify_cache_size=args.verify_cache,
+            wire_cache=not args.no_wire_cache)
+        configs.append(dataclasses.replace(
+            config, stack=dataclasses.replace(config.stack, protocol=caches),
+            **host))
+    return configs
 
 
 def _print_report(result, out, *, oracle: bool = False) -> None:
@@ -507,7 +479,7 @@ def _print_report(result, out, *, oracle: bool = False) -> None:
 def _run_main(args: argparse.Namespace, out) -> int:
     """``repro run`` and ``repro arena run``: one experiment, its report,
     and the optional trace/series files."""
-    config = _config_from(args, args.protocol, _scenario_from(args))
+    config, = _configs_from(args, [args.protocol])
     result = run_experiment(config)
     _print_report(result, out, oracle=config.oracle is not None)
     if result.trace is not None and args.trace_out:
@@ -649,9 +621,7 @@ def _arena_main(args: argparse.Namespace, out) -> int:
                 arena.get_protocol(name)  # fail fast on typos
         else:
             names = arena.available_protocols()
-        configs = [_config_from(args, name, _scenario_from(args))
-                   for name in names]
-        results = run_many(configs, workers=args.workers)
+        results = run_many(_configs_from(args, names), workers=args.workers)
         print(format_rows([result.row() for result in results]), file=out)
         return 0
 
@@ -896,39 +866,22 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
         return _run_main(args, out)
 
     if args.command == "compare":
-        configs = [_config_from(args, protocol, _scenario_from(args))
-                   for protocol in PROTOCOLS]
-        results = run_many(configs, workers=args.workers)
+        results = run_many(_configs_from(args, PROTOCOLS),
+                           workers=args.workers)
         print(format_rows([result.row() for result in results]), file=out)
         return 0
 
     if args.command == "sweep":
         values = [int(v) for v in args.values.split(",")]
         seeds = [int(s) for s in args.seeds.split(",")]
-
-        def make_config(value):
-            if args.param == "n":
-                scenario = _scenario_from(args, n=value)
-            elif args.param == "mute":
-                scenario = _scenario_from(args, mute=value)
-            else:
-                scenario = _scenario_from(args)
-            config = _config_from(args, args.protocol, scenario)
-            if args.param in _RIVAL_PARAMS:
-                from dataclasses import replace as dc_replace
-                base = config.rivals or RivalKnobs()
-                knobs = dc_replace(base,
-                                   **{_RIVAL_PARAMS[args.param]: value})
-                config = dc_replace(config, rivals=knobs)
-            return config
-
-        points = run_sweep(values, make_config, seeds=seeds,
-                           workers=args.workers)
-        rows = []
-        for point in points:
-            row = point.result.row()
-            row = {args.param: point.parameter, **row}
-            rows.append(row)
+        configs = _configs_from(args, [args.protocol], param=args.param,
+                                values=values, seeds=seeds)
+        results = run_many(configs, workers=args.workers)
+        group = len(seeds)
+        rows = [{args.param: value,
+                 **average_results(
+                     results[i * group:(i + 1) * group]).row()}
+                for i, value in enumerate(values)]
         print(format_rows(rows), file=out)
         return 0
 

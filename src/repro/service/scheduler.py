@@ -4,11 +4,12 @@
 :class:`JobQueue`, the content-addressed :class:`ResultStore`, and the
 existing ``Campaign``/``parallel_map``/checkpoint machinery as the
 execution engine.  One scheduler thread drains the queue; each job's
-spec expands into its config grid, every config whose ``config_key``
-already has a record counts as a cache hit (zero recomputation of shared
-sub-sweeps — the whole point of the service), and the remainder runs
-through ``Campaign.run`` in chunks so cancellation and preemption have
-bounded latency.
+spec expands into its config grid and goes through the campaign's own
+dedupe (``Campaign.pending``): every config whose ``config_key`` already
+has a record, or repeats a key earlier in the job, counts as a cache hit
+(zero recomputation of shared sub-sweeps — the whole point of the
+service), and the remainder runs through ``Campaign.run`` in chunks so
+cancellation and preemption have bounded latency.
 
 Resumability comes in two layers, both inherited rather than invented
 here: a SIGTERM-killed *worker process* leaves a ``CheckpointConfig``
@@ -35,7 +36,6 @@ import time
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..sim.campaign import CampaignError
-from ..sim.checkpoint import config_key
 from ..telemetry.log import bound, event, get_logger
 from ..telemetry.metrics import TelemetryRegistry
 from .queue import Job, JobQueue
@@ -56,8 +56,7 @@ class CampaignService:
     """
 
     def __init__(self, directory: str, *, workers: int = 1,
-                 checkpoint_every: Optional[float] = None,
-                 chunk_size: Optional[int] = None):
+                 checkpoint_every: Optional[float] = None):
         if workers < 1:
             raise ValueError(f"workers must be >= 1: {workers}")
         os.makedirs(directory, exist_ok=True)
@@ -68,7 +67,7 @@ class CampaignService:
         self.checkpoint_every = checkpoint_every
         #: Configs per ``Campaign.run`` call: large enough that the pool
         #: fork amortizes, small enough that cancel/kill react promptly.
-        self.chunk_size = chunk_size or max(4 * workers, 8)
+        self.chunk_size = max(4 * workers, 8)
         self._stop = threading.Event()
         self._wake = threading.Event()
         self._thread: Optional[threading.Thread] = None
@@ -282,16 +281,10 @@ class CampaignService:
             event(_log, "job.failed", level=logging.ERROR, error=str(exc))
             return self.queue.update(job.id, state="failed",
                                      error=str(exc))
-        keys = [config_key(config) for config in configs]
         # Task-level dedupe: the first occurrence of a key not yet in the
         # store runs; everything else — within-job duplicates and records
         # from earlier jobs — is a cache hit.
-        seen: set = set()
-        pending: List[Tuple[Any, str]] = []
-        for config, key in zip(configs, keys):
-            if key not in seen and not self.store.has_key(key):
-                pending.append((config, key))
-            seen.add(key)
+        keys, pending = self.store.campaign.pending(configs)
         cache_hits = len(configs) - len(pending)
         job = self.queue.update(
             job.id, total=len(configs), cache_hits=cache_hits, keys=keys)
@@ -322,7 +315,7 @@ class CampaignService:
                 chunk = pending[start:start + self.chunk_size]
                 began = time.perf_counter()
                 done, _ = self.store.campaign.run(
-                    [config for config, _ in chunk], workers=self.workers,
+                    [config for _, config in chunk], workers=self.workers,
                     checkpoint_every=self.checkpoint_every)
                 wall = time.perf_counter() - began
                 executed += done
@@ -358,12 +351,12 @@ class CampaignService:
               cache_hits=cache_hits, total=len(configs))
         return self.queue.update(job.id, state="done", executed=executed)
 
-    def _chunk_kernel_events(self, chunk: List[Tuple[Any, str]]) -> int:
+    def _chunk_kernel_events(self, chunk: List[Tuple[str, Any]]) -> int:
         """Kernel events fired by the records a chunk just persisted,
         read back from their wall-clock ``runtime`` blocks (0 when the
         records carry none — e.g. fluid-tier runs)."""
         total = 0
-        for _, key in chunk:
+        for key, _ in chunk:
             record = self.store.campaign.load_key(key)
             events = ((record or {}).get("runtime") or {}).get("events")
             if events:

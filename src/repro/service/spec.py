@@ -1,13 +1,15 @@
-"""Sweep specifications — the JSON job format the campaign service accepts.
+"""Sweep specifications — the one place flat knobs become experiments.
 
-A :class:`SweepSpec` is the service-side twin of the ``repro sweep``
-command line: the same flat knobs (scenario shape, workload, protocol
-selection, the swept parameter and its values, replication seeds), as a
-JSON document a client can POST.  :meth:`SweepSpec.expand` turns one spec
-into the deterministic list of :class:`ExperimentConfig` tasks the
-scheduler dedupes against the content-addressed record store — the
-expansion order (protocol × value × seed) mirrors ``run_sweep``'s
-flattened grid, so a spec's records are exactly the records a serial
+A :class:`SweepSpec` holds the flat knobs of a batch of experiments
+(scenario shape, workload, protocol selection, the swept parameter and
+its values, replication seeds), and :meth:`SweepSpec.expand` turns them
+into the deterministic list of :class:`ExperimentConfig` tasks, in
+protocol × value × seed order.  Both front ends build one: a client POSTs
+it to the campaign service as a JSON document, and ``repro run``,
+``compare``, ``arena compare`` and ``sweep`` build it from their flags
+(adding only the single-host knobs a spec does not carry).  A command
+line and the equivalent spec therefore expand to the same
+``config_key``s, and a spec's records are exactly the records a serial
 ``Campaign.run`` over the same grid would produce.
 
 Validation is strict: unknown keys, bad enum values, and missing sweep
@@ -35,7 +37,8 @@ from ..sim.experiment import (
 )
 from ..workloads.scenarios import AdversaryMix, ScenarioConfig
 
-__all__ = ["SpecError", "SweepSpec", "SWEEP_PARAMS"]
+__all__ = ["CHANNELS", "MOBILITY", "RULES", "SpecError", "SweepSpec",
+           "SWEEP_PARAMS"]
 
 
 class SpecError(ValueError):
@@ -51,9 +54,10 @@ _RIVAL_PARAMS = {
 }
 SWEEP_PARAMS = ("n", "mute") + tuple(_RIVAL_PARAMS)
 
-_MOBILITY = ("static", "waypoint", "walk", "gaussmarkov")
-_CHANNELS = ("disk", "shadowing")
-_RULES = ("cds", "mis+b")
+#: Choices of the ``mobility``, ``channel`` and ``rule`` knobs.
+MOBILITY = ("static", "waypoint", "walk", "gaussmarkov")
+CHANNELS = ("disk", "shadowing")
+RULES = ("cds", "mis+b")
 #: Values of the retired ``medium`` spec key.  ``to_dict`` always wrote
 #: the key, so every job file queued before its removal carries one;
 #: they are accepted and discarded (the backends were bit-identical).
@@ -96,7 +100,7 @@ class SweepSpec:
     param: Optional[str] = None
     values: Tuple[int, ...] = ()
     seeds: Tuple[int, ...] = (1,)
-    # Scenario shape (defaults match the ``repro sweep`` flags).
+    # Scenario shape (defaults match the CLI flags).
     n: int = 30
     mute: int = 0
     tx_range: float = 100.0
@@ -151,11 +155,11 @@ class SweepSpec:
                      f"param {self.param!r} needs non-empty values")
         else:
             _require(not self.values, "values given without a param")
-        _require(self.mobility in _MOBILITY,
+        _require(self.mobility in MOBILITY,
                  f"unknown mobility {self.mobility!r}")
-        _require(self.channel in _CHANNELS,
+        _require(self.channel in CHANNELS,
                  f"unknown channel {self.channel!r}")
-        _require(self.rule in _RULES, f"unknown rule {self.rule!r}")
+        _require(self.rule in RULES, f"unknown rule {self.rule!r}")
         _require(self.scheme in SCHEMES, f"unknown scheme {self.scheme!r}")
         _require(self.tier in TIERS, f"unknown tier {self.tier!r}")
 
@@ -275,7 +279,7 @@ class SweepSpec:
 
     def expand(self) -> List[ExperimentConfig]:
         """The deterministic task grid: protocol × value × seed, in spec
-        order — the same flattening ``run_sweep(workers>1)`` uses."""
+        order."""
         values: Sequence[Optional[int]] = (self.values if self.param
                                            else (None,))
         return [self._one_config(protocol, value, seed)

@@ -12,7 +12,6 @@ summaries, the sampled metric series as CSV text, and a Perfetto-loadable
 
 from __future__ import annotations
 
-import os
 from typing import Any, Dict, List, Optional
 
 from ..sim.campaign import Campaign
@@ -39,10 +38,6 @@ class ResultStore:
         return self._campaign.directory
 
     # ------------------------------------------------------------------
-    def has_key(self, key: str) -> bool:
-        return os.path.exists(
-            os.path.join(self.directory, f"{key}.json"))
-
     def load_key(self, key: str) -> Optional[Dict[str, Any]]:
         return self._campaign.load_key(key)
 

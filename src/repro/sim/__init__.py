@@ -20,9 +20,8 @@ from .experiment import (
     run_many,
 )
 from .network import Network, NetworkBuilder
-from .plots import bar_chart, series_chart, spark_line
 from .render import format_rows, format_series, format_table
-from .sweeps import SweepPoint, average_results, run_sweep
+from .sweeps import average_results
 
 __all__ = [
     "Campaign",
@@ -34,14 +33,12 @@ __all__ = [
     "Network",
     "NetworkBuilder",
     "PROTOCOLS",
-    "SweepPoint",
     "average_results",
     "build_world",
     "finish_world",
     "format_rows",
     "format_series",
     "format_table",
-    "bar_chart",
     "config_key",
     "latest_checkpoint",
     "load_checkpoint",
@@ -49,8 +46,5 @@ __all__ = [
     "result_to_record",
     "run_experiment",
     "run_many",
-    "run_sweep",
-    "series_chart",
-    "spark_line",
     "write_checkpoint",
 ]

@@ -12,6 +12,9 @@ always serialized and written by the parent (single writer, atomic
 rename), and each simulation is self-seeded, so a parallel campaign's
 record files are byte-identical to a serial run's — resume/skip semantics
 are unchanged because both paths key on the same content hashes.
+Serial and pooled runs are one ``parallel_map`` call, and
+:meth:`Campaign.pending` is the one batch dedupe — the campaign service
+takes its keys and its pending list from it too.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import json
 import logging
 import os
 import warnings
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from ..telemetry.log import event, get_logger
 from .checkpoint import CheckpointConfig, _jsonable, config_key
@@ -171,9 +174,32 @@ class Campaign:
         return out
 
     # ------------------------------------------------------------------
+    def pending(self, configs: Iterable[ExperimentConfig], *,
+                force: bool = False
+                ) -> Tuple[List[str], List[Tuple[str, ExperimentConfig]]]:
+        """Every config's key, in order, and the ``(key, config)`` pairs
+        still to run: the first occurrence of each key not yet stored
+        (with ``force``, the first occurrence of every key).
+
+        Each key is computed once.  A key repeated within the batch is
+        never run twice: ``force`` overrides the on-disk record, not the
+        within-batch dedupe — duplicates would race two writers on the
+        same file under ``workers > 1``.
+        """
+        keys: List[str] = []
+        pending: List[Tuple[str, ExperimentConfig]] = []
+        claimed = set()
+        for config in configs:
+            key = config_key(config)
+            keys.append(key)
+            if key not in claimed and (
+                    force or not os.path.exists(self._path(key))):
+                pending.append((key, config))
+            claimed.add(key)
+        return keys, pending
+
     def run(self, configs: Iterable[ExperimentConfig], *,
             force: bool = False,
-            progress: Optional[Callable[[str], None]] = None,
             workers: int = 1,
             checkpoint_every: Optional[float] = None) -> Tuple[int, int]:
         """Run every configuration not yet persisted.
@@ -195,54 +221,18 @@ class Campaign:
         """
         if workers < 1:
             raise ValueError(f"workers must be >= 1: {workers}")
-        executed = skipped = 0
-        pending: List[Tuple[str, ExperimentConfig]] = []
-        claimed = set()
-        for config in configs:
-            key = config_key(config)
-            # A key claimed earlier in this same call is never run twice:
-            # ``force`` overrides the on-disk record, not within-call
-            # dedupe — duplicate configs in one batch would race two
-            # writers on the same file under workers > 1.
-            if key in claimed or (not force
-                                  and os.path.exists(self._path(key))):
-                skipped += 1
-                continue
-            claimed.add(key)
-            if checkpoint_every is not None:
-                config = dataclasses.replace(config, checkpoint=CheckpointConfig(
-                    every=checkpoint_every,
-                    directory=os.path.join(self._directory, "checkpoints")))
-            pending.append((key, config))
+        keys, pending = self.pending(configs, force=force)
+        skipped = len(keys) - len(pending)
+        if checkpoint_every is not None:
+            checkpoint = CheckpointConfig(
+                every=checkpoint_every,
+                directory=os.path.join(self._directory, "checkpoints"))
+            pending = [(key, dataclasses.replace(config,
+                                                 checkpoint=checkpoint))
+                       for key, config in pending]
         event(_log, "campaign.run.start", pending=len(pending),
               skipped=skipped, workers=workers, directory=self._directory)
-        if workers == 1 or len(pending) <= 1:
-            for key, config in pending:
-                if progress is not None:
-                    progress(
-                        f"running {config.protocol} n={config.scenario.n} "
-                        f"seed={config.scenario.seed} [{key}]")
-                try:
-                    record = result_to_record(config, run_experiment(config))
-                except Exception as exc:
-                    event(_log, "campaign.run.failed", level=logging.ERROR,
-                          config_key=key, executed=executed,
-                          pending=len(pending), error=str(exc))
-                    raise CampaignError(
-                        f"campaign run failed on [{key}] after {executed} "
-                        f"of {len(pending)} pending records were persisted: "
-                        f"{exc}", executed=executed, skipped=skipped
-                    ) from exc
-                self._write(key, record)
-                executed += 1
-                event(_log, "campaign.record.persisted", config_key=key,
-                      wall_seconds=(record.get("runtime") or {}).get(
-                          "wall_seconds"))
-            return executed, skipped
-        if progress is not None:
-            for key, config in pending:
-                progress(f"running {config.protocol} n={config.scenario.n} "
-                         f"seed={config.scenario.seed} [{key}]")
+        executed = 0
 
         def persist(task, outcome):
             nonlocal executed
@@ -252,21 +242,21 @@ class Campaign:
             event(_log, "campaign.record.persisted", config_key=key,
                   wall_seconds=(record.get("runtime") or {}).get(
                       "wall_seconds"))
-            if progress is not None:
-                progress(f"finished [{key}]")
 
-        # ``executed`` counts records actually written: the persist
-        # callback streams results back in task order, so on a worker
-        # failure everything completed before the failing task is already
-        # on disk and the error surfaces with the true partial count.
+        # ``executed`` counts records actually written: results stream
+        # back in task order, so on a failure everything before the
+        # failing task is already on disk and the failing task is
+        # ``pending[executed]``.
         try:
             parallel_map(_run_record, pending, workers=workers,
                          on_result=persist)
         except Exception as exc:
+            key = pending[executed][0]
             event(_log, "campaign.run.failed", level=logging.ERROR,
-                  executed=executed, pending=len(pending), error=str(exc))
+                  config_key=key, executed=executed, pending=len(pending),
+                  error=str(exc))
             raise CampaignError(
-                f"campaign worker failed after {executed} of "
+                f"campaign run failed on [{key}] after {executed} of "
                 f"{len(pending)} pending records were persisted: {exc}",
                 executed=executed, skipped=skipped) from exc
         return executed, skipped

@@ -1,65 +1,21 @@
-"""Parameter sweeps with seeded replication.
+"""Seeded replication of sweep points.
 
 The paper's figures are parameter sweeps (n on the x-axis, or the mute
-fraction).  ``run_sweep`` runs an experiment factory over a parameter list,
-optionally replicating each point over several seeds and averaging.
+fraction).  A sweep's grid is a :class:`repro.service.SweepSpec`
+(protocol × value × seed), run through ``run_many`` or a ``Campaign``;
+:func:`average_results` folds each point's replicate seeds into the one
+result the figure plots.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from ..obs import merge_payloads
 from ..telemetry.runtime import merge_runtime
-from .checkpoint import CheckpointConfig
-from .experiment import ExperimentConfig, ExperimentResult, run_many
+from .experiment import ExperimentResult
 
-__all__ = ["SweepPoint", "run_sweep", "average_results"]
-
-
-@dataclass
-class SweepPoint:
-    """One x-axis point: the parameter value and its (averaged) result."""
-
-    parameter: object
-    result: ExperimentResult
-    replicates: int = 1
-
-
-def run_sweep(parameters: Sequence[object],
-              make_config: Callable[[object], ExperimentConfig],
-              seeds: Sequence[int] = (1,),
-              workers: int = 1,
-              checkpoint_every: Optional[float] = None,
-              checkpoint_dir: str = ".repro-checkpoints") -> List[SweepPoint]:
-    """Run ``make_config(parameter)`` for every parameter × seed.
-
-    Each parameter's results across seeds are averaged into one point.
-    The parameter × seed grid is one task list for :func:`run_many`, so
-    ``workers > 1`` spreads it over a process pool (each simulation is
-    self-seeded, so the averaged points are identical to a serial run).
-
-    With ``checkpoint_every`` each run snapshots itself every that many
-    virtual seconds into ``checkpoint_dir`` and auto-resumes from an
-    existing snapshot (a killed worker's leftovers) — see
-    :mod:`repro.sim.checkpoint`.  Points are identical either way.
-    """
-    tasks: List[ExperimentConfig] = []
-    for parameter in parameters:
-        for seed in seeds:
-            config = make_config(parameter)
-            config = replace(config, scenario=config.scenario.with_seed(seed))
-            if checkpoint_every is not None:
-                config = replace(config, checkpoint=CheckpointConfig(
-                    every=checkpoint_every, directory=checkpoint_dir))
-            tasks.append(config)
-    flat = run_many(tasks, workers=workers)
-    group = len(seeds)
-    return [SweepPoint(parameter=parameter,
-                       result=average_results(flat[i * group:(i + 1) * group]),
-                       replicates=group)
-            for i, parameter in enumerate(parameters)]
+__all__ = ["average_results"]
 
 
 def average_results(results: Sequence[ExperimentResult]) -> ExperimentResult:

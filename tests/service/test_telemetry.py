@@ -172,7 +172,8 @@ class TestGracefulStop:
     def test_stop_requeues_even_mid_job(self, tmp_path):
         """With chunk_size=1 the stop lands *between* chunks: executed
         work is persisted on the requeued job and in the store."""
-        service = CampaignService(str(tmp_path / "svc"), chunk_size=1)
+        service = CampaignService(str(tmp_path / "svc"))
+        service.chunk_size = 1
         job = service.submit(SPEC)
         claimed = service.queue.claim_next()
         assert claimed.id == job.id

@@ -12,9 +12,11 @@ import os
 
 import pytest
 
+from repro.cli import build_parser
+from repro.service import SweepSpec
 from repro.sim.campaign import Campaign, config_key
 from repro.sim.experiment import ExperimentConfig, run_experiment, run_many
-from repro.sim.sweeps import run_sweep
+from repro.sim.sweeps import average_results
 from repro.workloads.scenarios import ScenarioConfig
 
 FAST = dict(message_count=1, message_interval=1.0, warmup=4.0, drain=6.0)
@@ -84,24 +86,15 @@ class TestParallelCampaign:
         assert (executed, skipped) == (3, 0)
         assert read_records(campaign.directory) == before
 
-    def test_progress_reports_every_pending_config(self, tmp_path):
-        configs = make_configs(3)
-        campaign = Campaign(str(tmp_path / "camp"))
-        messages = []
-        campaign.run(configs, workers=2, progress=messages.append)
-        started = [m for m in messages if m.startswith("running ")]
-        finished = [m for m in messages if m.startswith("finished ")]
-        assert len(started) == 3
-        assert len(finished) == 3
-
     def test_invalid_workers_rejected(self, tmp_path):
         campaign = Campaign(str(tmp_path / "camp"))
         with pytest.raises(ValueError):
             campaign.run(make_configs(1), workers=0)
         with pytest.raises(ValueError):
             run_many(make_configs(1), workers=0)
-        with pytest.raises(ValueError):
-            run_sweep([8], lambda n: make_configs(1)[0], workers=-1)
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["sweep", "--param", "n",
+                                       "--values", "8", "--workers", "-1"])
 
 
 def sans_runtime(result):
@@ -119,16 +112,16 @@ class TestParallelSweepAndRunMany:
             == [sans_runtime(r) for r in serial]
 
     def test_run_sweep_workers_matches_serial(self):
-        def make_config(n):
-            return ExperimentConfig(scenario=ScenarioConfig(n=n), **FAST)
-
-        serial = run_sweep([8, 10], make_config, seeds=(1, 2))
-        parallel = run_sweep([8, 10], make_config, seeds=(1, 2), workers=4)
-        assert len(parallel) == len(serial) == 2
-        for a, b in zip(serial, parallel):
-            assert a.parameter == b.parameter
-            assert a.replicates == b.replicates
-            assert sans_runtime(a.result) == sans_runtime(b.result)
+        """A spec's n × seed grid averages to the same points whether
+        ``run_many`` runs it serially or over four workers."""
+        configs = SweepSpec(param="n", values=(8, 10), seeds=(1, 2),
+                            messages=1, interval=1.0, warmup=4.0,
+                            drain=6.0).expand()
+        serial = run_many(configs)
+        parallel = run_many(configs, workers=4)
+        for i in (0, 2):
+            assert sans_runtime(average_results(serial[i:i + 2])) \
+                == sans_runtime(average_results(parallel[i:i + 2]))
 
 
 class TestCliWorkers:

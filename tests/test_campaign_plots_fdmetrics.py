@@ -1,12 +1,9 @@
-"""Tests for campaigns, ASCII plots, and FD scorecards."""
-
-import pytest
+"""Tests for campaigns and FD scorecards."""
 
 from repro.adversary.behaviors import MuteBehavior
 from repro.metrics.fd_metrics import FdScorecard
 from repro.sim.campaign import Campaign, config_key, result_to_record
 from repro.sim.experiment import ExperimentConfig, run_experiment
-from repro.sim.plots import bar_chart, series_chart, spark_line
 from repro.workloads.scenarios import ScenarioConfig
 
 from tests.helpers import build_network
@@ -71,42 +68,6 @@ class TestCampaign:
         assert record["protocol"] == "byzcast"
         assert isinstance(record["physical"], dict)
         assert isinstance(record["config"], dict)
-
-
-class TestPlots:
-    def test_bar_chart_scaling(self):
-        chart = bar_chart(["a", "bb"], [1.0, 2.0], width=10)
-        lines = chart.splitlines()
-        assert len(lines) == 2
-        assert lines[1].count("█") == 10     # max value gets full width
-        assert lines[0].count("█") == 5
-
-    def test_bar_chart_validation(self):
-        with pytest.raises(ValueError):
-            bar_chart(["a"], [1.0, 2.0])
-        assert bar_chart([], []) == "(no data)"
-
-    def test_spark_line_levels(self):
-        spark = spark_line([0, 1, 2, 3])
-        assert len(spark) == 4
-        assert spark[0] == "▁"
-        assert spark[-1] == "█"
-
-    def test_spark_line_flat(self):
-        assert spark_line([5, 5, 5]) == "▁▁▁"
-        assert spark_line([]) == ""
-
-    def test_series_chart(self):
-        chart = series_chart([10, 20, 30],
-                             {"byzcast": [1.0, 1.0, 1.0],
-                              "overlay": [0.9, 0.8, None]})
-        assert "byzcast" in chart and "overlay" in chart
-        assert "10, 20, 30" in chart
-
-    def test_series_chart_validation(self):
-        with pytest.raises(ValueError):
-            series_chart([1, 2], {"s": [1.0]})
-        assert series_chart([1], {}) == "(no series)"
 
 
 class TestFdScorecard:

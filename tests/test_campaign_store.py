@@ -121,6 +121,19 @@ class TestForceDedupesWithinCall:
         assert campaign.run([config]) == (1, 0)
         assert campaign.run([config], force=True) == (1, 0)
 
+    def test_pending_keys_every_config_and_keeps_first_occurrences(
+            self, tmp_path):
+        campaign = Campaign(str(tmp_path))
+        stored, fresh = fast_config(seed=1), fast_config(seed=2)
+        campaign.run([stored])
+        batch = [stored, fresh, fresh]
+        keys, pending = campaign.pending(batch)
+        assert keys == [config_key(config) for config in batch]
+        assert pending == [(config_key(fresh), fresh)]
+        _, forced = campaign.pending(batch, force=True)
+        assert forced == [(config_key(stored), stored),
+                          (config_key(fresh), fresh)]
+
 
 # ----------------------------------------------------------------------
 # executed must count records actually written
@@ -176,6 +189,18 @@ class TestExecutedCountsPersistedRecords:
         assert excinfo.value.executed == 1
         assert len(record_files(campaign.directory)) \
             == excinfo.value.executed
+
+    def test_parallel_failure_names_the_failing_config(self, tmp_path,
+                                                       monkeypatch):
+        import repro.sim.campaign as campaign_module
+        monkeypatch.setattr(campaign_module, "_run_record",
+                            _fail_on_seed_2)
+        campaign = Campaign(str(tmp_path))
+        configs = [fast_config(seed=1), fast_config(seed=2),
+                   fast_config(seed=3)]
+        with pytest.raises(CampaignError) as excinfo:
+            campaign.run(configs, workers=2)
+        assert f"[{config_key(configs[1])}]" in str(excinfo.value)
 
     def test_error_carries_skipped_count(self, tmp_path, monkeypatch):
         import repro.sim.campaign as campaign_module

@@ -2,14 +2,16 @@
 
 import pytest
 
+from repro.service import SweepSpec
 from repro.sim.experiment import (
     ExperimentConfig,
     ExperimentResult,
     PROTOCOLS,
     run_experiment,
+    run_many,
 )
 from repro.sim.render import format_rows, format_series, format_table
-from repro.sim.sweeps import average_results, run_sweep
+from repro.sim.sweeps import average_results
 from repro.workloads.scenarios import AdversaryMix, ScenarioConfig
 
 SMALL = ScenarioConfig(n=12, seed=2)
@@ -93,13 +95,16 @@ class TestRunExperiment:
 
 class TestSweeps:
     def test_run_sweep_shapes(self):
-        points = run_sweep(
-            [8, 12],
-            lambda n: ExperimentConfig(scenario=SMALL.with_n(n), **FAST),
-            seeds=(1, 2))
-        assert [p.parameter for p in points] == [8, 12]
-        assert all(p.replicates == 2 for p in points)
-        assert points[0].result.n == 8
+        """A sweep is a spec's value × seed grid, averaged per value."""
+        configs = SweepSpec(param="n", values=(8, 12), seeds=(1, 2),
+                            messages=2, interval=1.0, warmup=5.0,
+                            drain=8.0).expand()
+        assert [(c.scenario.n, c.scenario.seed) for c in configs] \
+            == [(8, 1), (8, 2), (12, 1), (12, 2)]
+        results = run_many(configs)
+        points = [average_results(results[i:i + 2]) for i in (0, 2)]
+        assert [point.n for point in points] == [8, 12]
+        assert all(point.broadcasts == 2 for point in points)
 
     def test_average_results(self):
         results = [

@@ -30,7 +30,9 @@ from repro.sim.fluid import (
     protocol_profile,
     run_fluid,
 )
-from repro.sim.sweeps import run_sweep
+from repro.service import SweepSpec
+from repro.sim.experiment import run_many
+from repro.sim.sweeps import average_results
 from repro.workloads.scenarios import AdversaryMix, ScenarioConfig
 
 
@@ -155,11 +157,14 @@ class TestCampaignKeySemantics:
 
 class TestSweepAndCli:
     def test_fluid_sweep_over_n(self):
-        points = run_sweep(
-            [200, 400], lambda n: fluid_config(n=n), seeds=(1, 2))
-        assert [p.parameter for p in points] == [200, 400]
+        configs = SweepSpec(protocols=("flooding",), param="n",
+                            values=(200, 400), seeds=(1, 2),
+                            tier="fluid").expand()
+        results = run_many(configs)
+        points = [average_results(results[i:i + 2]) for i in (0, 2)]
+        assert [point.n for point in points] == [200, 400]
         for point in points:
-            assert point.result.delivery_ratio > 0.9
+            assert point.delivery_ratio > 0.9
 
     def test_cli_fluid_run(self):
         out = io.StringIO()
