@@ -75,7 +75,6 @@ class NetworkNode(NodeShell):
         stack = stack or NodeStackConfig()
         super().__init__(sim, medium, node_id, position, tx_range, streams,
                          directory, stack.mac)
-        self._stack = stack
         hello_auth = {}
         if stack.sign_hellos:
             hello_auth = {"signer": self.signer, "directory": directory}

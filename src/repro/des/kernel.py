@@ -37,15 +37,9 @@ class Event:
     Instances are returned by :meth:`Simulator.schedule` and may be cancelled
     before they fire.  Cancellation is O(1): the event is flagged and skipped
     when popped from the heap.
-
-    Events scheduled through the ``*_transient`` methods are *slab
-    allocated*: the kernel recycles their records through an internal free
-    list after they fire.  No handle is returned for them (recycling a
-    record someone still holds a reference to would be unsound), so
-    transient events cannot be cancelled.
     """
 
-    __slots__ = ("time", "seq", "callback", "args", "cancelled", "transient")
+    __slots__ = ("time", "seq", "callback", "args", "cancelled")
 
     def __init__(self, time: float, seq: int,
                  callback: Callable[..., Any], args: tuple):
@@ -54,7 +48,6 @@ class Event:
         self.callback = callback
         self.args = args
         self.cancelled = False
-        self.transient = False
 
     def cancel(self) -> None:
         """Prevent this event from firing.  Idempotent."""
@@ -81,11 +74,6 @@ class Simulator:
         sim.run(until=100.0)
     """
 
-    #: Maximum number of recycled event records kept on the free list.
-    #: Bounds worst-case memory after a scheduling burst; beyond this,
-    #: fired transient events are simply dropped for the GC.
-    SLAB_LIMIT = 4096
-
     def __init__(self) -> None:
         self._heap: List[Tuple[float, int, Event]] = []
         self._seq = 0
@@ -93,8 +81,6 @@ class Simulator:
         self._running = False
         self._stopped = False
         self._events_fired = 0
-        self._free: List[Event] = []
-        self._recycled = 0
 
     # ------------------------------------------------------------------
     # Clock
@@ -108,12 +94,6 @@ class Simulator:
     def events_fired(self) -> int:
         """Number of events executed so far (cancelled events excluded)."""
         return self._events_fired
-
-    @property
-    def events_recycled(self) -> int:
-        """Number of transient event records reused from the slab free
-        list instead of freshly allocated (diagnostics)."""
-        return self._recycled
 
     @property
     def pending(self) -> int:
@@ -153,52 +133,6 @@ class Simulator:
         return self.schedule(0.0, callback, *args)
 
     # ------------------------------------------------------------------
-    # Transient (slab-allocated) scheduling
-    # ------------------------------------------------------------------
-    def schedule_transient(self, delay: float, callback: Callable[..., Any],
-                           *args: Any) -> None:
-        """Fire-and-forget :meth:`schedule`: same timing and FIFO
-        tie-breaking (the shared sequence counter), but the event record is
-        drawn from and returned to an internal slab, and no handle is
-        returned — transient events cannot be cancelled.  Use for the
-        high-volume timers that never need cancellation (medium completion,
-        MAC backoff); the steady state then allocates no Event objects.
-        """
-        if not 0.0 <= delay < math.inf:
-            raise _bad_delay(delay)
-        self.schedule_at_transient(self._now + delay, callback, *args)
-
-    def schedule_at_transient(self, time: float,
-                              callback: Callable[..., Any],
-                              *args: Any) -> None:
-        """:meth:`schedule_at`, slab-allocated and uncancellable."""
-        if not self._now <= time < math.inf:
-            raise _bad_time(time, self._now)
-        seq = self._seq
-        free = self._free
-        if free:
-            event = free.pop()
-            event.time = time
-            event.seq = seq
-            event.callback = callback
-            event.args = args
-            event.cancelled = False
-            self._recycled += 1
-        else:
-            event = Event(time, seq, callback, args)
-            event.transient = True
-        self._seq = seq + 1
-        heapq.heappush(self._heap, (time, seq, event))
-
-    def _recycle(self, event: Event) -> None:
-        if len(self._free) < self.SLAB_LIMIT:
-            # Drop payload references so the slab never pins callbacks or
-            # arguments alive between uses.
-            event.callback = _noop
-            event.args = ()
-            self._free.append(event)
-
-    # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
     def step(self) -> bool:
@@ -209,8 +143,6 @@ class Simulator:
         while self._heap:
             time, _, event = heapq.heappop(self._heap)
             if event.cancelled:
-                if event.transient:
-                    self._recycle(event)
                 continue
             self._now = time
             event.cancelled = True  # mark fired; `active` becomes False
@@ -224,8 +156,6 @@ class Simulator:
                 start = perf_counter()
                 event.callback(*event.args)
                 prof.add("kernel.event", perf_counter() - start)
-            if event.transient:
-                self._recycle(event)
             return True
         return False
 
@@ -236,8 +166,12 @@ class Simulator:
 
         When ``until`` is given the clock is advanced to exactly ``until``
         even if the last event fired earlier, mirroring how wall-clock
-        simulators report the end of the simulated window.
+        simulators report the end of the simulated window.  A NaN
+        ``until`` is refused: no event time compares greater than it, so
+        it would bound nothing.
         """
+        if until is not None and math.isnan(until):
+            raise SimulationError("run bound is NaN")
         if self._running:
             raise SimulationError("simulator is already running")
         self._running = True
@@ -265,18 +199,6 @@ class Simulator:
         """Drop all pending events (the clock is preserved)."""
         self._heap.clear()
 
-    # ------------------------------------------------------------------
-    # Pickling (checkpoint/resume)
-    # ------------------------------------------------------------------
-    def __getstate__(self) -> dict:
-        """Checkpoints exclude the slab free list: recycled records are
-        pure allocator state, and shipping them would make checkpoint
-        bytes depend on the run's transient-event history."""
-        state = self.__dict__.copy()
-        state["_free"] = []
-        state["_recycled"] = 0
-        return state
-
 
 def _bad_delay(delay: float) -> SimulationError:
     if delay < 0:
@@ -289,8 +211,3 @@ def _bad_time(time: float, now: float) -> SimulationError:
         return SimulationError(
             f"cannot schedule in the past: {time} < {now}")
     return SimulationError(f"non-finite event time: {time}")
-
-
-def _noop() -> None:  # placeholder callback for recycled slab records
-    """Never fired; parked on free-listed events so their previous
-    callback/argument references can be garbage collected."""

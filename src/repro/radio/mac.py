@@ -63,10 +63,8 @@ class MacStats:
 class CsmaMac:
     """Per-node MAC entity serializing access to the shared medium.
 
-    The MAC never cancels a timer it has scheduled, so every jitter,
-    backoff, and inter-frame-spacing event goes through the kernel's
-    slab-allocated transient scheduling — the steady-state send loop
-    allocates no :class:`~repro.des.kernel.Event` objects.
+    The MAC never cancels a timer it has scheduled, so it keeps no
+    handle to its jitter, backoff and inter-frame-spacing events.
     """
 
     def __init__(self, sim: Simulator, medium: Medium, node_id: int,
@@ -111,7 +109,7 @@ class CsmaMac:
         if not self._sending:
             self._sending = True
             self._attempts = 0
-            self._sim.schedule_transient(
+            self._sim.schedule(
                 self._rng.uniform(0.0, self._config.access_jitter_s),
                 self._attempt)
         return True
@@ -132,7 +130,7 @@ class CsmaMac:
                              msg=obs.msg_of(packet.payload),
                              kind=packet.kind, reason="max_attempts")
                 self._attempts = 0
-                self._sim.schedule_transient(0.0, self._attempt)
+                self._sim.schedule(0.0, self._attempt)
                 return
             window = min(
                 self._config.backoff_base_s
@@ -143,7 +141,7 @@ class CsmaMac:
                 ctx.span("backoff", self._node_id,
                          msg=obs.msg_of(self._queue[0].payload),
                          duration=delay, attempt=self._attempts)
-            self._sim.schedule_transient(delay, self._attempt)
+            self._sim.schedule(delay, self._attempt)
             return
         packet = self._queue.popleft()
         self._attempts = 0
@@ -151,11 +149,11 @@ class CsmaMac:
         self.stats.sent += 1
         gap = (tx.end - self._sim.now) + self._config.ifs_s
         if self._queue:
-            self._sim.schedule_transient(
+            self._sim.schedule(
                 gap + self._rng.uniform(0.0, self._config.access_jitter_s),
                 self._attempt)
         else:
-            self._sim.schedule_transient(gap, self._finish)
+            self._sim.schedule(gap, self._finish)
 
     def _finish(self) -> None:
         if self._queue:

@@ -147,9 +147,6 @@ class Medium:
         self._radios[node_id] = _AttachedRadio(
             node_id, get_position, tx_range, handler)
 
-    def detach(self, node_id: int) -> None:
-        self._radios.pop(node_id, None)
-
     def update_position(self, node_id: int, position: Position) -> None:
         """A radio moved (mobility models call this via
         ``Radio.position``).  The scalar scan polls ``get_position`` at
@@ -231,9 +228,7 @@ class Medium:
                      size=packet.size_bytes)
         for observer in self._observers:
             observer.on_transmit(node_id, packet)
-        # Completion events are never cancelled, so they qualify for the
-        # kernel's slab-allocated transient scheduling.
-        self._sim.schedule_at_transient(tx.end, self._complete, tx)
+        self._sim.schedule_at(tx.end, self._complete, tx)
         return tx
 
     # ------------------------------------------------------------------
@@ -255,8 +250,8 @@ class Medium:
         ctx = obs.ACTIVE
         msg = obs.msg_of(tx.packet.payload) if ctx is not None else None
         for node_id in self._candidate_ids():
-            radio = radios.get(node_id)
-            if radio is None or node_id == tx.sender or not radio.enabled:
+            radio = radios[node_id]
+            if node_id == tx.sender or not radio.enabled:
                 continue
             self._resolve_reception(tx, radio, ctx, msg)
         self._prune()

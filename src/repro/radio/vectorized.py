@@ -11,8 +11,8 @@ of re-deriving geometry on every transmission and every poll.
   (``Position.within`` with the sender's reach).  It is built from one
   :func:`~repro.radio.geometry.close_pairs` pass and one sort, at the
   first transmission after the topology **epoch** changed.
-  ``attach``, ``detach``, a real move and ``set_tx_range`` bump the
-  epoch; ``set_enabled`` does not (power state is read at completion).
+  ``attach``, a real move and ``set_tx_range`` bump the epoch;
+  ``set_enabled`` does not (power state is read at completion).
 * **Live transmissions** sit in one array, a row per transmission in
   start order: sender, origin, squared reach, start, end, epoch and a
   completed flag.  A completion gathers the rows whose airtime overlaps
@@ -100,7 +100,7 @@ _INITIAL_CAPACITY = 64
 
 _INT32_MAX = np.iinfo(np.int32).max
 
-#: Per-slot radio arrays, kept in step by attach/detach/grow.
+#: Per-slot radio arrays, kept in step by attach/grow.
 _RADIO_ARRAYS = ("_ids", "_xs", "_ys", "_on", "_reach", "_sensed_until")
 
 #: Columns of the live-transmission array (float64; sender ids and
@@ -140,9 +140,9 @@ class VectorizedMedium(Medium):
         self._sensed_until = np.full(_INITIAL_CAPACITY, -math.inf)
         self._slot: Dict[int, int] = {}
         # Slots stay id-sorted as long as radios attach in ascending id
-        # order and never detach out of the tail (the experiment runner's
-        # only pattern); slot order is then id order, and neither the
-        # table build nor the whole-field path needs an argsort.
+        # order (the experiment runner's only pattern); slot order is
+        # then id order, and neither the table build nor the whole-field
+        # path needs an argsort.
         self._ids_sorted = True
         self._epoch = 0
         self._links: Optional[_LinkTable] = None
@@ -188,22 +188,6 @@ class VectorizedMedium(Medium):
         self._topology_changed()
         self._resense(slot)
 
-    def detach(self, node_id: int) -> None:
-        super().detach(node_id)
-        slot = self._slot.pop(node_id, None)
-        if slot is None:
-            return
-        last = self._count - 1
-        if slot != last:
-            # Swap-remove: the last slot's radio fills the hole.
-            for name in _RADIO_ARRAYS:
-                arr = getattr(self, name)
-                arr[slot] = arr[last]
-            self._slot[int(self._ids[slot])] = slot
-            self._ids_sorted = False
-        self._count = last
-        self._topology_changed()
-
     def update_position(self, node_id: int, position: Position) -> None:
         slot = self._slot.get(node_id)
         if slot is None:
@@ -217,9 +201,7 @@ class VectorizedMedium(Medium):
 
     def set_enabled(self, node_id: int, enabled: bool) -> None:
         super().set_enabled(node_id, enabled)
-        slot = self._slot.get(node_id)
-        if slot is not None:
-            self._on[slot] = enabled
+        self._on[self._slot[node_id]] = enabled
 
     def set_tx_range(self, node_id: int, tx_range: float) -> None:
         super().set_tx_range(node_id, tx_range)
@@ -401,11 +383,11 @@ class VectorizedMedium(Medium):
             ctx = obs.ACTIVE
             msg = obs.msg_of(packet.payload) if ctx is not None else None
             for node_id, half_duplex, interfered in plan:
-                radio = radios.get(node_id)
-                if radio is None or not radio.enabled:
-                    # A handler earlier in this completion detached or
-                    # powered off the radio; honour the live state like
-                    # the scalar loop does.
+                radio = radios[node_id]
+                if not radio.enabled:
+                    # A handler earlier in this completion powered off
+                    # the radio; honour the live state like the scalar
+                    # loop does.
                     continue
                 if half_duplex:
                     stats.half_duplex_losses += 1
@@ -519,9 +501,7 @@ class VectorizedMedium(Medium):
             # Knife-edge candidates get the scalar medium's own predicate.
             in_reach[slot] = math.hypot(
                 ox - float(xs[slot]), oy - float(ys[slot])) < reach
-        sender_slot = self._slot.get(tx.sender)
-        if sender_slot is not None:
-            in_reach[sender_slot] = False
+        in_reach[self._slot[tx.sender]] = False
         slots = np.flatnonzero(in_reach)
         if not self._ids_sorted:
             slots = slots[np.argsort(self._ids[slots])]

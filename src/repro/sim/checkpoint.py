@@ -68,7 +68,10 @@ __all__ = [
 #: v8: the kernel heap holds ``(time, seq, event)`` tuples and ``Event``
 #: lost ``__lt__``; the vectorized medium keeps its live transmissions
 #: and carrier-sense horizons in arrays.
-CHECKPOINT_VERSION = 8
+#: v9: the kernel has one scheduling path: ``Event`` lost its
+#: ``transient`` slot and ``Simulator`` its slab free list, and
+#: ``NetworkNode`` no longer keeps its ``NodeStackConfig``.
+CHECKPOINT_VERSION = 9
 
 
 class CheckpointError(RuntimeError):

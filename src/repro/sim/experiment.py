@@ -276,8 +276,10 @@ class ExperimentConfig:
             raise ValueError(
                 f"unknown scheme {self.signature_scheme!r}; "
                 f"choose from {SCHEMES}")
-        if self.warmup < 0 or self.drain < 0:
-            raise ValueError("warmup/drain must be non-negative")
+        if not (0 <= self.warmup < math.inf and 0 <= self.drain < math.inf):
+            raise ValueError("warmup/drain must be finite and non-negative")
+        if not math.isfinite(self.message_interval):
+            raise ValueError("message_interval must be finite")
         if self.message_count < 1 and self.workload is None:
             raise ValueError("need at least one message")
         if self.medium not in MEDIA:

@@ -17,8 +17,7 @@ Pieces:
 
 * :mod:`repro.telemetry.metrics` — :class:`TelemetryRegistry` with
   Counter/Gauge/Histogram, rendered in Prometheus text exposition
-  format (``GET /metrics``) and re-parsed by the validating
-  :func:`parse_exposition` the tests and CI smoke use.
+  format (``GET /metrics``).
 * :mod:`repro.telemetry.log` — one stdlib-logging JSONL emitter with
   bound correlation fields (job id, config key) shared by the service
   scheduler, campaign runner, fuzz engine, and HTTP layer.
@@ -31,20 +30,11 @@ benchmark's own comparer, bounds from ``BENCHMARK.json``).
 """
 
 from .log import JsonFormatter, bound, configure, current_fields, event, get_logger
-from .metrics import (
-    Counter,
-    ExpositionError,
-    Gauge,
-    Histogram,
-    TelemetryRegistry,
-    parse_exposition,
-    sample_value,
-)
+from .metrics import Counter, Gauge, Histogram, TelemetryRegistry
 from .runtime import merge_runtime, peak_rss_kb, runtime_block, strip_runtime
 
 __all__ = [
     "Counter",
-    "ExpositionError",
     "Gauge",
     "Histogram",
     "JsonFormatter",
@@ -55,9 +45,7 @@ __all__ = [
     "event",
     "get_logger",
     "merge_runtime",
-    "parse_exposition",
     "peak_rss_kb",
     "runtime_block",
-    "sample_value",
     "strip_runtime",
 ]

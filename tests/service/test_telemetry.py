@@ -24,7 +24,7 @@ from repro.service import CampaignService, make_server
 from repro.sim import experiment
 from repro.sim.campaign import parallel_map
 from repro.telemetry.log import configure, get_logger
-from repro.telemetry.metrics import parse_exposition, sample_value
+from tests.prometheus import parse_exposition, sample_value
 
 pytestmark = pytest.mark.service
 

@@ -73,6 +73,14 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             ExperimentConfig(scenario=SMALL, protocol="carrier-pigeon")
 
+    @pytest.mark.parametrize("knob", ["warmup", "drain", "message_interval"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_timing_rejected(self, knob, value):
+        # Any of these makes the run's horizon NaN or infinite, and the
+        # HELLO beacons then re-arm forever instead of ending the run.
+        with pytest.raises(ValueError):
+            ExperimentConfig(scenario=SMALL, **{knob: value})
+
     def test_custom_workload(self):
         from repro.workloads.sources import single_shot
         config = ExperimentConfig(scenario=SMALL, warmup=5.0, drain=8.0,

@@ -108,16 +108,6 @@ class TestDelivery:
         assert inbox == []
         assert medium.stats.transmissions == 0
 
-    def test_detached_radio_ignored(self):
-        sim, medium = make_medium()
-        inbox = []
-        attach(medium, 1, 0, 0, inbox)
-        attach(medium, 2, 50, 0, inbox)
-        medium.detach(2)
-        medium.transmit(1, packet(1))
-        sim.run()
-        assert inbox == []
-
     def test_duplicate_attach_rejected(self):
         _, medium = make_medium()
         attach(medium, 1, 0, 0, [])

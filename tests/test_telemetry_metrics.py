@@ -1,9 +1,9 @@
 """The wall-clock metrics registry and its exposition parser.
 
 The contract under test: the hand-rolled renderer emits Prometheus text
-exposition 0.0.4 that the module's own *validating* parser accepts, and
-the parser genuinely rejects malformed documents — so the CI smoke's
-"/metrics parses" assertion means something.
+exposition 0.0.4 that the *validating* parser in ``tests/prometheus.py``
+accepts, and the parser genuinely rejects malformed documents — so the
+CI smoke's "/metrics parses" assertion means something.
 """
 
 import math
@@ -11,13 +11,8 @@ import threading
 
 import pytest
 
-from repro.telemetry.metrics import (
-    DEFAULT_BUCKETS,
-    ExpositionError,
-    TelemetryRegistry,
-    parse_exposition,
-    sample_value,
-)
+from repro.telemetry.metrics import DEFAULT_BUCKETS, TelemetryRegistry
+from tests.prometheus import ExpositionError, parse_exposition, sample_value
 
 
 class TestCounter:

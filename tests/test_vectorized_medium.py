@@ -368,21 +368,6 @@ class TestPropertyEquivalence:
 
 
 class TestVectorizedBookkeeping:
-    def test_detach_swaps_and_keeps_resolving(self):
-        sim = Simulator()
-        medium = VectorizedMedium(sim, RandomStream(1), UnitDisk())
-        positions = {i: Position(10.0 * i, 0.0) for i in range(5)}
-        heard = []
-        for i in range(5):
-            medium.attach(i, (lambda i=i: positions[i]), 100.0,
-                          (lambda packet, i=i: heard.append(i)))
-        medium.detach(2)
-        sim.schedule_at(0.001, medium.transmit, 0,
-                        Packet(sender=0, payload=None, size_bytes=50,
-                               kind="data"))
-        sim.run()
-        assert sorted(heard) == [1, 3, 4]
-
     def test_out_of_order_attach_still_sorted_delivery(self):
         sim = Simulator()
         medium = VectorizedMedium(sim, RandomStream(1), UnitDisk())
