@@ -497,9 +497,9 @@ def _fuzz_main(args: argparse.Namespace, out) -> int:
     import json as _json
     import os as _os
 
-    from .fuzz import (FuzzConfig, TargetSpec, fuzz, load_corpus,
-                       load_entry, replay, shrink_events, write_entry)
-    from .fuzz.corpus import CorpusEntry
+    from .fuzz import (FuzzConfig, TargetSpec, fuzz, load_entry, replay,
+                       shrink_events, write_entry)
+    from .fuzz.corpus import CorpusEntry, corpus_paths
 
     if args.fuzz_command == "run":
         target = TargetSpec(
@@ -561,17 +561,20 @@ def _fuzz_main(args: argparse.Namespace, out) -> int:
         return 0
 
     if args.fuzz_command == "replay":
-        if _os.path.isdir(args.corpus):
-            entries = load_corpus(args.corpus)
-        elif _os.path.isfile(args.corpus):
-            entries = [(args.corpus, load_entry(args.corpus))]
-        else:
-            entries = []
-        if not entries:
+        paths = ([args.corpus] if _os.path.isfile(args.corpus)
+                 else corpus_paths(args.corpus))
+        if not paths:
             print(f"no corpus entries under {args.corpus}", file=out)
             return 1
         failures = 0
-        for path, entry in entries:
+        for path in paths:
+            try:
+                entry = load_entry(path)
+            except (OSError, ValueError, KeyError, TypeError,
+                    AttributeError) as exc:
+                failures += 1
+                print(f"CORRUPT {_os.path.basename(path)}: {exc}", file=out)
+                continue
             verdict = replay(entry)
             status = "ok" if verdict["reproduced"] else "LOST"
             if not verdict["reproduced"]:
@@ -580,7 +583,7 @@ def _fuzz_main(args: argparse.Namespace, out) -> int:
                   f"{'/'.join(entry.signature):<45} "
                   f"delivery={verdict['delivery_ratio']:.3f} "
                   f"violations={verdict['violations']}", file=out)
-        print(f"{len(entries) - failures}/{len(entries)} reproduced",
+        print(f"{len(paths) - failures}/{len(paths)} reproduced",
               file=out)
         return 0 if failures == 0 else 1
 

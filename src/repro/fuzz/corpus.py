@@ -29,12 +29,13 @@ from ..core.config import ProtocolConfig
 from ..core.node import NodeStackConfig
 from ..obs.context import ObsConfig
 from ..obs.coverage import trace_coverage
+from ..persist import atomic_write
 from ..sim.experiment import ExperimentConfig, ExperimentResult
 from ..workloads.scenarios import ScenarioConfig
 from .fixtures import runner
 
-__all__ = ["TargetSpec", "CorpusEntry", "failure_signature", "load_corpus",
-           "load_entry", "replay", "write_entry"]
+__all__ = ["TargetSpec", "CorpusEntry", "corpus_paths", "failure_signature",
+           "load_corpus", "load_entry", "replay", "write_entry"]
 
 
 @dataclass(frozen=True)
@@ -195,10 +196,8 @@ def write_entry(entry: CorpusEntry, directory: str) -> str:
     os.makedirs(directory, exist_ok=True)
     path = os.path.join(directory, f"{entry.digest()}.json")
     if not os.path.exists(path):
-        tmp = path + ".tmp"
-        with open(tmp, "w") as handle:
+        with atomic_write(path) as handle:
             handle.write(entry.to_json() + "\n")
-        os.replace(tmp, path)
     return path
 
 
@@ -207,17 +206,20 @@ def load_entry(path: str) -> CorpusEntry:
         return CorpusEntry.from_dict(json.load(handle))
 
 
-def load_corpus(directory: str) -> List[Tuple[str, CorpusEntry]]:
-    """All ``(path, entry)`` pairs in a corpus directory, sorted by file
-    name (= content digest) for deterministic iteration."""
+def corpus_paths(directory: str) -> List[str]:
+    """Every entry file in a corpus directory, sorted by file name
+    (= content digest) for deterministic iteration."""
     if not os.path.isdir(directory):
         return []
-    out = []
-    for name in sorted(os.listdir(directory)):
-        if name.endswith(".json"):
-            path = os.path.join(directory, name)
-            out.append((path, load_entry(path)))
-    return out
+    return [os.path.join(directory, name)
+            for name in sorted(os.listdir(directory))
+            if name.endswith(".json")]
+
+
+def load_corpus(directory: str) -> List[Tuple[str, CorpusEntry]]:
+    """All ``(path, entry)`` pairs in a corpus directory, in
+    :func:`corpus_paths` order.  Strict: a damaged entry raises."""
+    return [(path, load_entry(path)) for path in corpus_paths(directory)]
 
 
 def replay(entry: CorpusEntry) -> Dict[str, Any]:

@@ -36,7 +36,7 @@ from .coverage import CoverageMap, bucketize, trace_coverage
 # ``obs.ACTIVE``; external callers use :func:`active`.
 from .export import (chrome_trace, load_trace, series_to_csv,
                      validate_chrome, write_chrome, write_trace)
-from .registry import MetricRegistry, merge_payloads
+from .registry import MetricRegistry
 from .sampler import MetricSampler
 
 __all__ = [
@@ -56,7 +56,6 @@ __all__ = [
     "trace_coverage",
     "MetricRegistry",
     "MetricSampler",
-    "merge_payloads",
     "write_trace",
     "load_trace",
     "series_to_csv",

@@ -29,6 +29,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 __all__ = [
     "write_trace",
     "load_trace",
+    "render_series_csv",
     "series_to_csv",
     "chrome_trace",
     "write_chrome",
@@ -99,17 +100,29 @@ def load_trace(path: str) -> Tuple[Dict[str, Any], List[Dict[str, Any]]]:
 # ----------------------------------------------------------------------
 # CSV series
 # ----------------------------------------------------------------------
-def series_to_csv(series: Dict[str, Sequence[float]], path: str) -> int:
-    """Write the sampled metric series as CSV (``time`` column first,
-    remaining columns sorted).  Returns the number of data rows."""
+def render_series_csv(series: Dict[str, Sequence[float]]) -> str:
+    """The sampled metric series as CSV text: ``time`` column first,
+    remaining columns sorted, one row per tick.  A ragged column (a
+    hand-edited or partial record) pads with empty cells: a damaged
+    record degrades to odd CSV, never to an error."""
     columns = ["time"] + sorted(key for key in series if key != "time")
-    rows = len(series.get("time", ()))
+    lines = [",".join(columns)]
+    for i in range(len(series.get("time") or ())):
+        row = []
+        for column in columns:
+            values = series.get(column) or ()
+            row.append(repr(float(values[i])) if i < len(values) else "")
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
+def series_to_csv(series: Dict[str, Sequence[float]], path: str) -> int:
+    """Write :func:`render_series_csv` to ``path``; returns the number of
+    data rows."""
+    text = render_series_csv(series)
     with open(path, "w") as handle:
-        handle.write(",".join(columns) + "\n")
-        for i in range(rows):
-            handle.write(",".join(repr(float(series[column][i]))
-                                  for column in columns) + "\n")
-    return rows
+        handle.write(text)
+    return text.count("\n") - 1
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Sampled metric series and the sweep-level payload merge.
+"""Sampled metric series.
 
 A :class:`MetricRegistry` holds the virtual-time series produced by the
 periodic sampler (:class:`repro.obs.MetricSampler`): one timestamp and
@@ -11,9 +11,9 @@ wall-clock Counter/Gauge/Histogram instruments live in
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Dict, List
 
-__all__ = ["MetricRegistry", "merge_payloads"]
+__all__ = ["MetricRegistry"]
 
 
 class MetricRegistry:
@@ -48,35 +48,3 @@ class MetricRegistry:
             out[key] = list(self.series[key])
         return out
 
-
-def merge_payloads(payloads: Iterable[Dict[str, Any]]
-                   ) -> Optional[Dict[str, Any]]:
-    """Aggregate ``ExperimentResult.trace`` payloads across sweep
-    replicates: series are averaged element-wise (truncated to the
-    shortest replicate, like the result averages), counters and span
-    counts are summed — counters are totals, so summing mirrors how
-    profiles aggregate in ``average_results``."""
-    payloads = [p for p in payloads if p]
-    if not payloads:
-        return None
-    series_keys = sorted({key for p in payloads
-                          for key in (p.get("series") or {})})
-    merged_series: Dict[str, List[float]] = {}
-    for key in series_keys:
-        columns = [p.get("series", {}).get(key, []) for p in payloads]
-        length = min((len(c) for c in columns), default=0)
-        merged_series[key] = [
-            sum(column[i] for column in columns) / len(columns)
-            for i in range(length)]
-    counters: Dict[str, int] = {}
-    for payload in payloads:
-        for name, value in (payload.get("counters") or {}).items():
-            counters[name] = counters.get(name, 0) + value
-    return {
-        "meta": dict(payloads[0].get("meta") or {}),
-        "replicates": len(payloads),
-        "span_count": sum(p.get("span_count", 0) for p in payloads),
-        "dropped_spans": sum(p.get("dropped_spans", 0) for p in payloads),
-        "series": merged_series,
-        "counters": {name: counters[name] for name in sorted(counters)},
-    }

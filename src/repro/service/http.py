@@ -199,25 +199,19 @@ class ServiceHandler(BaseHTTPRequestHandler):
         if len(parts) == 1:
             self._json(200, record)
             return
-        if parts[1:] == ("series.csv",):
-            csv = self.service.store.series_csv(record)
-            if csv is None:
-                self._error(404,
-                            f"record {parts[0]!r} has no metric series "
-                            "(submit the spec with \"observe\": true)")
-                return
-            self._send(200, csv.encode(), "text/csv; charset=utf-8")
+        if parts[1:] not in (("series.csv",), ("trace.json",)):
+            self._error(404, f"no such route GET {self.path}")
             return
-        if parts[1:] == ("trace.json",):
-            trace = self.service.store.counter_trace(record)
-            if trace is None:
-                self._error(404,
-                            f"record {parts[0]!r} has no metric series "
-                            "(submit the spec with \"observe\": true)")
-                return
-            self._json(200, trace)
-            return
-        self._error(404, f"no such route GET {self.path}")
+        csv = parts[1] == "series.csv"
+        store = self.service.store
+        view = (store.series_csv if csv else store.counter_trace)(record)
+        if view is None:
+            self._error(404, f"record {parts[0]!r} has no metric series "
+                        "(submit the spec with \"observe\": true)")
+        elif csv:
+            self._send(200, view.encode(), "text/csv; charset=utf-8")
+        else:
+            self._json(200, view)
 
     def do_POST(self) -> None:  # noqa: N802 (stdlib naming)
         parts = self._parts()

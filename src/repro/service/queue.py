@@ -1,9 +1,9 @@
 """Persistent job queue for the campaign service.
 
-One JSON file per job under the queue directory, written atomically
-(write-temp + ``os.replace``) like every other persisted artifact in the
-repo, so a crashed service never leaves a half-written job behind.  Jobs
-progress ``queued -> running -> done | failed | cancelled``; a service
+One JSON file per job, written and read through :mod:`repro.persist`:
+a crash never leaves half a job file, and a damaged one is quarantined
+instead of stopping the service from starting.  Jobs progress
+``queued -> running -> done | failed | cancelled``; a service
 restart re-queues anything left ``running`` (the killed scheduler's
 in-flight job — its finished records are already in the store, so the
 re-run is almost entirely cache hits, plus checkpoint resume for the
@@ -17,14 +17,20 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import threading
 from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Dict, List, Optional
+
+from ..persist import atomic_write, read_json_object
 
 __all__ = ["Job", "JobQueue", "JOB_STATES", "TERMINAL_STATES"]
 
 JOB_STATES = ("queued", "running", "done", "failed", "cancelled")
 TERMINAL_STATES = ("done", "failed", "cancelled")
+
+#: ``j<seq>.json``, or its quarantined ``j<seq>.json.corrupt``.
+_JOB_FILE = re.compile(r"j(\d+)\.json(?:\.corrupt)?$")
 
 
 @dataclass(frozen=True)
@@ -67,13 +73,16 @@ class JobQueue:
         self._lock = threading.Lock()
         self._jobs: Dict[str, Job] = {}
         os.makedirs(directory, exist_ok=True)
-        for name in sorted(os.listdir(directory)):
-            if not name.endswith(".json"):
-                continue
-            with open(os.path.join(directory, name)) as handle:
-                job = Job.from_dict(json.load(handle))
-            self._jobs[job.id] = job
-        self._seq = 1 + max((job.submitted for job in self._jobs.values()),
+        names = sorted(os.listdir(directory))
+        for name in names:
+            if name.endswith(".json"):
+                job = read_json_object(os.path.join(directory, name),
+                                       "job file", build=Job.from_dict)
+                if job is not None:
+                    self._jobs[job.id] = job
+        # A quarantined job's id is never handed out again.
+        self._seq = 1 + max((int(match.group(1)) for match in
+                             map(_JOB_FILE.match, names) if match),
                             default=0)
 
     @property
@@ -83,10 +92,8 @@ class JobQueue:
     # ------------------------------------------------------------------
     def _save(self, job: Job) -> None:
         path = os.path.join(self._directory, f"{job.id}.json")
-        tmp = path + ".tmp"
-        with open(tmp, "w") as handle:
+        with atomic_write(path) as handle:
             json.dump(job.to_dict(), handle, indent=1, sort_keys=True)
-        os.replace(tmp, path)
 
     def _store(self, job: Job) -> Job:
         self._jobs[job.id] = job

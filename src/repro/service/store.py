@@ -3,8 +3,8 @@
 The store *is* the existing content-addressed :class:`Campaign`
 directory — the service adds no second persistence format, so records a
 client fetches over HTTP are byte-for-byte the files a serial
-``Campaign.run`` would have written (and the quarantine hardening in
-:meth:`Campaign._read` protects every read path).  On top of it this
+``Campaign.run`` would have written (and the quarantining reader in
+:mod:`repro.persist` protects every read path).  On top of it this
 module provides the projections the HTTP results API serves: record
 summaries, the sampled metric series as CSV text, and a Perfetto-loadable
 ``trace_event`` counter document built from the same series.
@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional
 
+from ..obs.export import render_series_csv
 from ..sim.campaign import Campaign
 
 __all__ = ["ResultStore"]
@@ -46,14 +47,10 @@ class ResultStore:
 
     def summaries(self) -> List[Dict[str, Any]]:
         """One summary row per record, sorted by key."""
-        out = []
-        for record in self._campaign.records():
-            row = {"key": record.get("key")}
-            row.update({name: record.get(name)
-                        for name in _SUMMARY_FIELDS})
-            row["has_metrics"] = record.get("metrics") is not None
-            out.append(row)
-        return out
+        return [{"key": record.get("key"),
+                 **{name: record.get(name) for name in _SUMMARY_FIELDS},
+                 "has_metrics": record.get("metrics") is not None}
+                for record in self._campaign.records()]
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -67,26 +64,11 @@ class ResultStore:
 
     @classmethod
     def series_csv(cls, record: Dict[str, Any]) -> Optional[str]:
-        """The metric series as CSV text — same layout as
-        :func:`repro.obs.series_to_csv` (``time`` first, remaining
-        columns sorted, one row per virtual-time tick)."""
+        """The metric series as CSV text
+        (:func:`repro.obs.export.render_series_csv`, the same bytes
+        ``repro run --metrics-out`` writes)."""
         series = cls.series_of(record)
-        if series is None:
-            return None
-        columns = ["time"] + sorted(key for key in series
-                                    if key != "time")
-        lines = [",".join(columns)]
-        # Ragged columns (hand-edited or partial records) pad with empty
-        # cells rather than raising — a damaged record must degrade to
-        # odd CSV, never to a 500.
-        for i in range(len(series.get("time") or ())):
-            row = []
-            for column in columns:
-                values = series.get(column) or ()
-                row.append(repr(float(values[i])) if i < len(values)
-                           else "")
-            lines.append(",".join(row))
-        return "\n".join(lines) + "\n"
+        return None if series is None else render_series_csv(series)
 
     @classmethod
     def counter_trace(cls,

@@ -23,9 +23,9 @@ import dataclasses
 import json
 import logging
 import os
-import warnings
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
+from ..persist import atomic_write, read_json_object
 from ..telemetry.log import event, get_logger
 from .checkpoint import CheckpointConfig, _jsonable, config_key
 from .experiment import ExperimentConfig, ExperimentResult, \
@@ -126,34 +126,13 @@ class Campaign:
     def has(self, config: ExperimentConfig) -> bool:
         return os.path.exists(self._path(config_key(config)))
 
-    def _read(self, path: str) -> Optional[Dict[str, Any]]:
-        """Parse one record file; quarantine it if it is corrupt.
-
-        A truncated or garbled record (killed writer on a non-atomic
-        filesystem, disk fault, stray hand edit) must not take down the
-        whole campaign — mirroring the checkpoint loader's corrupt-file
-        fallback, the file is renamed to ``<key>.json.corrupt`` with a
-        warning and treated as absent, so the next run recomputes it.
-        """
-        if not os.path.exists(path):
-            return None
-        try:
-            with open(path) as handle:
-                return json.load(handle)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            quarantined = path + ".corrupt"
-            os.replace(path, quarantined)
-            warnings.warn(
-                f"quarantined corrupt campaign record {path} -> "
-                f"{quarantined}: {exc}", RuntimeWarning, stacklevel=3)
-            return None
-
     def load(self, config: ExperimentConfig) -> Optional[Dict[str, Any]]:
         return self.load_key(config_key(config))
 
     def load_key(self, key: str) -> Optional[Dict[str, Any]]:
-        """The persisted record for one content-hash key, or None."""
-        return self._read(self._path(key))
+        """The persisted record for one content-hash key, or None (a
+        damaged file is quarantined, so the next run recomputes it)."""
+        return read_json_object(self._path(key), "campaign record")
 
     def keys(self) -> List[str]:
         """Every persisted record key, sorted for determinism."""
@@ -165,13 +144,9 @@ class Campaign:
         """All persisted records, sorted by key for determinism.
 
         Corrupt record files are quarantined and skipped (see
-        :meth:`_read`), never raised."""
-        out = []
-        for key in self.keys():
-            record = self._read(self._path(key))
-            if record is not None:
-                out.append(record)
-        return out
+        :func:`repro.persist.read_json_object`), never raised."""
+        records = (self.load_key(key) for key in self.keys())
+        return [record for record in records if record is not None]
 
     # ------------------------------------------------------------------
     def pending(self, configs: Iterable[ExperimentConfig], *,
@@ -263,11 +238,8 @@ class Campaign:
 
     def _write(self, key: str, record: Dict[str, Any]) -> None:
         """Atomically persist one record (write-temp + rename)."""
-        path = self._path(key)
-        tmp = path + ".tmp"
-        with open(tmp, "w") as handle:
+        with atomic_write(self._path(key)) as handle:
             json.dump(record, handle, indent=1)
-        os.replace(tmp, path)
 
     # ------------------------------------------------------------------
     def rows(self, *fields: str) -> List[Dict[str, Any]]:

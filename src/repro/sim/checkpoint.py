@@ -21,10 +21,10 @@ File format
 One pickle per configuration, named ``<config_key>.ckpt`` inside the
 checkpoint directory, containing ``{"version", "key", "sim_time",
 "events_fired", "stream_names", "world"}``.  Files are written via
-write-temp + ``os.replace`` so a crash mid-write never corrupts the
-previous snapshot.  Version or key mismatches surface as
-:class:`CheckpointError`; callers treat that as "no usable checkpoint"
-and fall back to a fresh run.
+:func:`repro.persist.atomic_write` (write-temp + rename) so a crash
+mid-write never corrupts the previous snapshot.  Version or key
+mismatches surface as :class:`CheckpointError`; callers treat that as
+"no usable checkpoint" and fall back to a fresh run.
 """
 
 from __future__ import annotations
@@ -36,6 +36,8 @@ import os
 import pickle
 from dataclasses import dataclass
 from typing import Any, Dict, Optional
+
+from ..persist import atomic_write, temp_path
 
 __all__ = [
     "CHECKPOINT_VERSION",
@@ -173,10 +175,8 @@ def write_checkpoint(world: Any, key: str, directory: str) -> str:
         "world": world,
     }
     path = checkpoint_path(directory, key)
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as handle:
+    with atomic_write(path, "wb") as handle:
         pickle.dump(payload, handle, protocol=pickle.HIGHEST_PROTOCOL)
-    os.replace(tmp, path)
     return path
 
 
@@ -229,8 +229,9 @@ def latest_checkpoint(directory: str, key: str) -> Optional[str]:
 
 def discard_checkpoint(directory: str, key: str) -> None:
     """Remove a configuration's snapshot (done once its run completes)."""
-    for suffix in ("", ".tmp"):
+    path = checkpoint_path(directory, key)
+    for victim in (path, temp_path(path)):
         try:
-            os.remove(checkpoint_path(directory, key) + suffix)
+            os.remove(victim)
         except OSError:
             pass

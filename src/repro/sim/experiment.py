@@ -339,7 +339,7 @@ class ExperimentResult:
     #: metadata); None unless the run was configured with ``observe``.
     trace: Optional[Dict[str, Any]] = None
     #: Wall-clock/resource accounting (``wall_seconds``, ``peak_rss_kb``,
-    #: ``events``, ``events_per_second``, ``profile`` totals) — see
+    #: ``events``, ``events_per_second``) — see
     #: :mod:`repro.telemetry.runtime`.  Host-dependent by construction:
     #: never part of ``config_key`` and always stripped from
     #: byte-identity comparisons.
@@ -448,8 +448,7 @@ def _finalize_runtime(result: ExperimentResult,
     the kernel event count; None on the fluid tier) with the full
     wall-clock block."""
     events = (result.runtime or {}).get("events")
-    result.runtime = runtime_block(wall_seconds, events=events,
-                                   profile=result.profile)
+    result.runtime = runtime_block(wall_seconds, events=events)
     return result
 
 

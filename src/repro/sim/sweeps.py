@@ -9,79 +9,52 @@ result the figure plots.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
 
-from ..obs import merge_payloads
-from ..telemetry.runtime import merge_runtime
 from .experiment import ExperimentResult
 
 __all__ = ["average_results"]
 
 
 def average_results(results: Sequence[ExperimentResult]) -> ExperimentResult:
-    """Element-wise average of replicated runs (None-aware for latencies)."""
+    """Element-wise average of replicated runs (None-aware for latencies).
+
+    Per-run artifacts do not average: with several replicates, the
+    result's ``profile``, ``trace`` and ``runtime`` are None.
+    """
     if not results:
         raise ValueError("nothing to average")
     if len(results) == 1:
         return results[0]
     first = results[0]
 
+    def mean(values: Iterable[float]) -> float:
+        return sum(values) / len(results)
+
     def avg(values: List[Optional[float]]) -> Optional[float]:
         present = [v for v in values if v is not None]
         return sum(present) / len(present) if present else None
 
-    physical: Dict[str, float] = {}
-    for key in {k for r in results for k in r.physical}:
-        physical[key] = sum(r.physical.get(key, 0.0)
-                            for r in results) / len(results)
-    energy: Dict[str, float] = {}
-    for key in {k for r in results for k in r.energy}:
-        energy[key] = sum(r.energy.get(key, 0.0)
-                          for r in results) / len(results)
-    # Profiles aggregate (sum) across replicates: total cost over the
-    # replicated runs, not a per-run mean — counts stay integers.
-    profile = None
-    profiled = [r.profile for r in results if r.profile]
-    if profiled:
-        profile = {}
-        for item in profiled:
-            for phase, stats in item.items():
-                bucket = profile.setdefault(
-                    phase, {"count": 0, "seconds": 0.0})
-                bucket["count"] += stats.get("count", 0)
-                bucket["seconds"] += stats.get("seconds", 0.0)
-    # Observability payloads average (metric series element-wise, counters
-    # summed); span streams are per-run artifacts and do not survive
-    # averaging — see :func:`repro.obs.merge_payloads`.
-    trace = None
-    traced = [r.trace for r in results if r.trace]
-    if traced:
-        trace = merge_payloads(traced)
+    def mean_map(maps: List[Dict[str, float]]) -> Dict[str, float]:
+        return {key: mean(m.get(key, 0.0) for m in maps)
+                for key in {k for m in maps for k in m}}
+
     return ExperimentResult(
         protocol=first.protocol,
         n=first.n,
         byzantine=first.byzantine,
-        broadcasts=round(sum(r.broadcasts for r in results) / len(results)),
-        delivery_ratio=sum(r.delivery_ratio
-                           for r in results) / len(results),
-        complete_fraction=sum(r.complete_fraction
-                              for r in results) / len(results),
+        broadcasts=round(mean(r.broadcasts for r in results)),
+        delivery_ratio=mean(r.delivery_ratio for r in results),
+        complete_fraction=mean(r.complete_fraction for r in results),
         mean_latency=avg([r.mean_latency for r in results]),
         max_latency=avg([r.max_latency for r in results]),
         mean_completion_latency=avg(
             [r.mean_completion_latency for r in results]),
-        physical=physical,
-        energy=energy,
+        physical=mean_map([r.physical for r in results]),
+        energy=mean_map([r.energy for r in results]),
         overlay_quality=first.overlay_quality,
-        sim_time=sum(r.sim_time for r in results) / len(results),
-        chaos_events=round(sum(r.chaos_events
-                               for r in results) / len(results)),
+        sim_time=mean(r.sim_time for r in results),
+        chaos_events=round(mean(r.chaos_events for r in results)),
         invariant_violations=sum(r.invariant_violations for r in results),
         violations=[v for r in results for v in r.violations],
-        profile=profile,
-        trace=trace,
-        # Wall-clock accounting sums across replicates (total cost of the
-        # sweep point), peak RSS takes the max — see
-        # :func:`repro.telemetry.runtime.merge_runtime`.
-        runtime=merge_runtime([r.runtime for r in results]),
     )

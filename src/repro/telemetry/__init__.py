@@ -21,9 +21,9 @@ Pieces:
 * :mod:`repro.telemetry.log` — one stdlib-logging JSONL emitter with
   bound correlation fields (job id, config key) shared by the service
   scheduler, campaign runner, fuzz engine, and HTTP layer.
-* :mod:`repro.telemetry.runtime` — the ``runtime`` block campaign
-  records carry (wall seconds, peak RSS, kernel events/sec) and its
-  sweep aggregation / stripping helpers.
+* :mod:`repro.telemetry.runtime` — the per-run ``runtime`` block
+  campaign records carry (wall seconds, peak RSS, kernel events/sec;
+  no profile, no sweep aggregate) and its stripping helper.
 
 Comparing two benchmark runs is ``python -m bench compare`` (the repo
 benchmark's own comparer, bounds from ``BENCHMARK.json``).
@@ -31,7 +31,7 @@ benchmark's own comparer, bounds from ``BENCHMARK.json``).
 
 from .log import JsonFormatter, bound, configure, current_fields, event, get_logger
 from .metrics import Counter, Gauge, Histogram, TelemetryRegistry
-from .runtime import merge_runtime, peak_rss_kb, runtime_block, strip_runtime
+from .runtime import peak_rss_kb, runtime_block, strip_runtime
 
 __all__ = [
     "Counter",
@@ -44,7 +44,6 @@ __all__ = [
     "current_fields",
     "event",
     "get_logger",
-    "merge_runtime",
     "peak_rss_kb",
     "runtime_block",
     "strip_runtime",

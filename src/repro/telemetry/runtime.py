@@ -4,7 +4,10 @@ Every campaign record may carry a ``runtime`` dict next to its virtual
 time results:
 
 ``{"wall_seconds": 1.82, "peak_rss_kb": 91240, "events": 20412,
-  "events_per_second": 11215.4, "profile": {...}}``
+  "events_per_second": 11215.4}``
+
+A per-run artifact: sweep averages carry none, and a profiled run's
+phase totals live only in the record's ``profile`` field.
 
 Being wall-clock, it is host-dependent by construction and therefore:
 
@@ -21,9 +24,9 @@ platforms without the module — never a hard dependency.
 from __future__ import annotations
 
 import sys
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, Optional
 
-__all__ = ["merge_runtime", "peak_rss_kb", "runtime_block", "strip_runtime"]
+__all__ = ["peak_rss_kb", "runtime_block", "strip_runtime"]
 
 try:  # pragma: no cover - resource is present on all posix pythons
     import resource
@@ -42,13 +45,11 @@ def peak_rss_kb() -> Optional[int]:
 
 
 def runtime_block(wall_seconds: float,
-                  events: Optional[int] = None,
-                  profile: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
+                  events: Optional[int] = None) -> Dict[str, Any]:
     """Assemble one record's ``runtime`` dict.
 
     ``events`` is the kernel event count (None for tiers that do not
-    run the discrete kernel, e.g. fluid); ``profile`` is the per-phase
-    ``Profiler.summary()`` when profiling was on for the run.
+    run the discrete kernel, e.g. fluid).
     """
     block: Dict[str, Any] = {
         "wall_seconds": round(float(wall_seconds), 6),
@@ -59,53 +60,7 @@ def runtime_block(wall_seconds: float,
         block["events_per_second"] = round(events / wall_seconds, 3)
     else:
         block["events_per_second"] = None
-    if profile:
-        block["profile"] = {
-            phase: {"count": stats["count"],
-                    "seconds": round(float(stats["seconds"]), 6)}
-            for phase, stats in sorted(profile.items())
-        }
     return block
-
-
-def merge_runtime(blocks: Sequence[Optional[Dict[str, Any]]]
-                  ) -> Optional[Dict[str, Any]]:
-    """Aggregate per-replicate runtime blocks for a sweep-average record.
-
-    Wall seconds and events sum (the sweep point cost their total);
-    peak RSS takes the max (it is a process high-water mark, not
-    additive); events/sec is recomputed from the sums; profile phase
-    totals sum.  Returns None when no replicate carried a block.
-    """
-    present: List[Dict[str, Any]] = [b for b in blocks if b]
-    if not present:
-        return None
-    wall = sum(float(b.get("wall_seconds") or 0.0) for b in present)
-    events_seen = [b.get("events") for b in present
-                   if b.get("events") is not None]
-    events = int(sum(events_seen)) if events_seen else None
-    rss_seen = [b.get("peak_rss_kb") for b in present
-                if b.get("peak_rss_kb") is not None]
-    merged: Dict[str, Any] = {
-        "wall_seconds": round(wall, 6),
-        "peak_rss_kb": max(rss_seen) if rss_seen else None,
-        "events": events,
-        "events_per_second": (round(events / wall, 3)
-                              if events is not None and wall > 0 else None),
-    }
-    profile: Dict[str, Dict[str, float]] = {}
-    for block in present:
-        for phase, stats in (block.get("profile") or {}).items():
-            slot = profile.setdefault(phase, {"count": 0, "seconds": 0.0})
-            slot["count"] += stats.get("count", 0)
-            slot["seconds"] += float(stats.get("seconds", 0.0))
-    if profile:
-        merged["profile"] = {
-            phase: {"count": stats["count"],
-                    "seconds": round(stats["seconds"], 6)}
-            for phase, stats in sorted(profile.items())
-        }
-    return merged
 
 
 def strip_runtime(record: Dict[str, Any]) -> Dict[str, Any]:

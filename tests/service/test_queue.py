@@ -87,3 +87,45 @@ class TestRecovery:
         fresh = reopened.get(job.id)
         assert fresh.state == "queued"
         assert not fresh.cancel_requested
+
+
+class TestDamagedJobFiles:
+    """A job file cut short or written by another ``Job`` schema is
+    quarantined; the service still starts and never reuses its id."""
+
+    def _service_dir_with(self, tmp_path, damage):
+        from repro.service import CampaignService
+        directory = str(tmp_path / "svc")
+        first = CampaignService(directory)
+        kept = first.queue.submit(SPEC)
+        damaged = first.queue.submit(SPEC)
+        path = os.path.join(directory, "jobs", f"{damaged.id}.json")
+        damage(path)
+        return directory, kept, path
+
+    def _restart(self, directory, kept, path):
+        from repro.service import CampaignService
+        with pytest.warns(RuntimeWarning, match="quarantined corrupt job"):
+            service = CampaignService(directory)
+        assert [job.id for job in service.queue.jobs()] == [kept.id]
+        assert not os.path.exists(path)
+        assert os.path.exists(path + ".corrupt")
+        # The quarantined id is never handed out again.
+        assert service.queue.submit(SPEC).id == "j000003"
+        assert JobQueue(os.path.dirname(path)).submit(SPEC).id \
+            == "j000004"
+
+    def test_truncated_job_file_is_quarantined(self, tmp_path):
+        def truncate(path):
+            with open(path, "rb+") as handle:
+                handle.truncate(os.path.getsize(path) // 2)
+        self._restart(*self._service_dir_with(tmp_path, truncate))
+
+    def test_job_file_with_unknown_key_is_quarantined(self, tmp_path):
+        def add_key(path):
+            with open(path) as handle:
+                data = json.load(handle)
+            data["priority"] = 1
+            with open(path, "w") as handle:
+                json.dump(data, handle)
+        self._restart(*self._service_dir_with(tmp_path, add_key))

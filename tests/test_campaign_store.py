@@ -87,6 +87,14 @@ class TestCorruptRecordQuarantine:
         assert campaign.run([config]) == (1, 0)
         assert campaign.load(config)["key"] == config_key(config)
 
+    def test_non_object_record_is_quarantined(self, tmp_path):
+        from repro.service.store import ResultStore
+        campaign = Campaign(str(tmp_path))
+        corrupt = self._plant_corrupt(campaign, payload="[]")
+        with pytest.warns(RuntimeWarning, match="quarantined corrupt"):
+            assert ResultStore(str(tmp_path)).summaries() == []
+        assert os.path.exists(corrupt + ".corrupt")
+
     def test_empty_record_file_is_quarantined(self, tmp_path):
         campaign = Campaign(str(tmp_path))
         corrupt = self._plant_corrupt(campaign, payload="")

@@ -306,6 +306,21 @@ class TestFuzzCommands:
         assert "LOST" not in output
         assert "forged_payload" in output
 
+    def test_fuzz_replay_reports_corrupt_entry_and_replays_the_rest(
+            self, tmp_path):
+        import os
+        import shutil
+        good = sorted(p for p in os.listdir(self.CORPUS)
+                      if p.endswith(".json"))[0]
+        shutil.copy(os.path.join(self.CORPUS, good), tmp_path / good)
+        (tmp_path / "0000garbled00000.json").write_text('{"target": {')
+        code, output = run_cli(["fuzz", "replay", str(tmp_path)])
+        assert code == 1
+        assert "CORRUPT 0000garbled00000.json: " in output
+        assert f"ok    {good}" in output
+        assert "1/2 reproduced" in output
+        assert (tmp_path / "0000garbled00000.json").exists()
+
     def test_fuzz_replay_missing_corpus(self, tmp_path):
         code, output = run_cli(["fuzz", "replay", str(tmp_path / "empty")])
         assert code == 1

@@ -16,7 +16,6 @@ from repro.obs import (
     ObsConfig,
     ObsContext,
     active,
-    merge_payloads,
     msg_key,
     msg_of,
     session,
@@ -206,21 +205,3 @@ class TestRegistry:
         assert series["x"] == [1.0, 2.0]
         # Late-appearing columns are backfilled to rectangular shape.
         assert series["y"] == [0.0, 5.0]
-
-    def test_merge_payloads_averages_series_and_sums_counters(self):
-        payloads = [
-            {"meta": {"n": 4}, "span_count": 10, "dropped_spans": 0,
-             "series": {"time": [0.0, 1.0], "x": [2.0, 4.0]},
-             "counters": {"spans.rx": 3}},
-            {"meta": {"n": 4}, "span_count": 14, "dropped_spans": 1,
-             "series": {"time": [0.0, 1.0, 2.0], "x": [4.0, 8.0, 9.0]},
-             "counters": {"spans.rx": 5, "spans.tx": 2}},
-        ]
-        merged = merge_payloads(payloads)
-        assert merged["replicates"] == 2
-        assert merged["span_count"] == 24
-        assert merged["dropped_spans"] == 1
-        assert merged["counters"] == {"spans.rx": 8, "spans.tx": 2}
-        # Series are element-wise means truncated to the shortest run.
-        assert merged["series"]["time"] == [0.0, 1.0]
-        assert merged["series"]["x"] == [3.0, 6.0]

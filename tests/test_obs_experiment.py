@@ -7,7 +7,7 @@ What these tests pin down:
 * ``observe`` is an execution knob — same content hash, identical
   results and byte-identical traces across repeats,
 * campaign records persist the metric series (never the raw spans),
-* sweep averaging merges replicate payloads,
+* sweep averaging drops the per-run payloads,
 * oracle violations are cross-referenced to the span that produced them.
 """
 
@@ -123,17 +123,14 @@ class TestCampaignRecords:
 
 
 class TestSweepAveraging:
-    def test_average_results_merges_trace_payloads(self):
-        results = [run_experiment(observed_config(seed=seed))
+    def test_average_results_drops_per_run_artifacts(self):
+        results = [run_experiment(observed_config(seed=seed, profile=True))
                    for seed in (3, 4)]
         averaged = average_results(results)
-        trace = averaged.trace
-        assert trace["replicates"] == 2
-        assert trace["span_count"] == sum(
-            r.trace["span_count"] for r in results)
-        shortest = min(len(r.trace["series"]["time"]) for r in results)
-        assert len(trace["series"]["time"]) == shortest
-        assert "spans" not in trace
+        assert (averaged.trace, averaged.profile, averaged.runtime) \
+            == (None, None, None)
+        assert averaged.delivery_ratio == pytest.approx(
+            sum(r.delivery_ratio for r in results) / 2)
 
     def test_mixed_replicates_average_to_none_trace(self):
         results = [run_experiment(observed_config(observe=None, seed=seed))

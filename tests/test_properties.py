@@ -32,10 +32,11 @@ def test_encode_fields_injective(a, b):
     """Distinct field tuples never share an encoding (no ambiguity).
 
     The encoding is deliberately type-aware (0 and False, 1 and 1.0 are
-    different fields), so compare typed tuples.
+    different fields) and keeps a float's sign bit (0.0 and -0.0 are
+    different fields), so compare typed reprs.
     """
-    typed_a = [(type(v), v) for v in a]
-    typed_b = [(type(v), v) for v in b]
+    typed_a = [(type(v), repr(v)) for v in a]
+    typed_b = [(type(v), repr(v)) for v in b]
     if typed_a != typed_b:
         assert encode_fields(a) != encode_fields(b)
     else:

@@ -12,9 +12,7 @@ import pytest
 
 from repro.sim import config_key, result_to_record, run_experiment
 from repro.sim.experiment import ExperimentConfig
-from repro.sim.sweeps import average_results
 from repro.telemetry.runtime import (
-    merge_runtime,
     peak_rss_kb,
     runtime_block,
     strip_runtime,
@@ -45,50 +43,9 @@ class TestRuntimeBlock:
     def test_zero_wall_never_divides(self):
         assert runtime_block(0.0, events=10)["events_per_second"] is None
 
-    def test_profile_rounds_and_sorts(self):
-        block = runtime_block(1.0, events=5, profile={
-            "deliver": {"count": 2, "seconds": 0.12345678},
-            "arm": {"count": 1, "seconds": 0.5},
-        })
-        assert list(block["profile"]) == ["arm", "deliver"]
-        assert block["profile"]["deliver"]["seconds"] == 0.123457
-
     def test_peak_rss_positive_on_posix(self):
         rss = peak_rss_kb()
         assert rss is None or rss > 0
-
-
-class TestMergeRuntime:
-    def test_sums_wall_and_events_maxes_rss(self):
-        merged = merge_runtime([
-            {"wall_seconds": 1.0, "events": 100, "peak_rss_kb": 500},
-            {"wall_seconds": 3.0, "events": 300, "peak_rss_kb": 900},
-        ])
-        assert merged["wall_seconds"] == 4.0
-        assert merged["events"] == 400
-        assert merged["peak_rss_kb"] == 900
-        assert merged["events_per_second"] == 100.0
-
-    def test_profiles_sum_per_phase(self):
-        merged = merge_runtime([
-            {"wall_seconds": 1.0, "events": 1,
-             "profile": {"deliver": {"count": 2, "seconds": 0.25}}},
-            {"wall_seconds": 1.0, "events": 1,
-             "profile": {"deliver": {"count": 3, "seconds": 0.5},
-                         "arm": {"count": 1, "seconds": 0.1}}},
-        ])
-        assert merged["profile"]["deliver"] == {"count": 5,
-                                               "seconds": 0.75}
-        assert merged["profile"]["arm"] == {"count": 1, "seconds": 0.1}
-
-    def test_empty_and_none_blocks(self):
-        assert merge_runtime([]) is None
-        assert merge_runtime([None, None]) is None
-        merged = merge_runtime([None, {"wall_seconds": 2.0,
-                                       "events": None}])
-        assert merged["wall_seconds"] == 2.0
-        assert merged["events"] is None
-        assert merged["events_per_second"] is None
 
 
 class TestStripRuntime:
@@ -108,10 +65,12 @@ class TestExperimentIntegration:
         assert runtime["events_per_second"] == pytest.approx(
             runtime["events"] / runtime["wall_seconds"], rel=1e-3)
 
-    def test_profiled_run_carries_profile_totals(self):
-        result = run_experiment(small_config(profile=True))
-        assert result.runtime["profile"]
-        assert set(result.runtime["profile"]) == set(result.profile)
+    def test_profiled_record_stores_profile_once(self):
+        config = small_config(profile=True)
+        record = result_to_record(config, run_experiment(config))
+        assert record["profile"]
+        assert sorted(record["runtime"]) == [
+            "events", "events_per_second", "peak_rss_kb", "wall_seconds"]
 
     def test_record_carries_runtime_but_key_ignores_it(self):
         config = small_config()
@@ -123,12 +82,3 @@ class TestExperimentIntegration:
         # And identical records once runtime is stripped.
         assert (json.dumps(strip_runtime(record_a), sort_keys=True)
                 == json.dumps(strip_runtime(record_b), sort_keys=True))
-
-    def test_sweep_average_merges_replicate_runtimes(self):
-        results = [run_experiment(small_config(seed=seed))
-                   for seed in (3, 4)]
-        averaged = average_results(results)
-        assert averaged.runtime["events"] == sum(
-            r.runtime["events"] for r in results)
-        assert averaged.runtime["wall_seconds"] == pytest.approx(
-            sum(r.runtime["wall_seconds"] for r in results), abs=1e-5)
