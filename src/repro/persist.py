@@ -9,9 +9,9 @@ import contextlib
 import json
 import os
 import warnings
-from typing import Any, Callable, Dict, Iterator, Optional
+from typing import Any, Callable, Dict, Iterator, Optional, Tuple
 
-__all__ = ["atomic_write", "read_json_object", "temp_path"]
+__all__ = ["atomic_write", "read_json_file", "read_json_object", "temp_path"]
 
 
 def temp_path(path: str) -> str:
@@ -27,26 +27,41 @@ def atomic_write(path: str, mode: str = "w") -> Iterator[Any]:
     os.replace(temp_path(path), path)
 
 
-def read_json_object(path: str, kind: str,
-                     build: Optional[Callable[[Dict[str, Any]], Any]] = None
-                     ) -> Optional[Any]:
-    """The JSON object in ``path``, passed through ``build`` if given.
+def read_json_file(path: str, kind: str,
+                   build: Optional[Callable[[Dict[str, Any]], Any]] = None
+                   ) -> Optional[Tuple[bytes, Any]]:
+    """The bytes of ``path`` and the JSON object they hold, passed
+    through ``build`` if given.
 
     None when the file is missing, or when it does not parse, is not an
     object or does not build: such a file is renamed to
     ``<path>.corrupt`` with a :class:`RuntimeWarning` naming the
-    ``kind`` of artifact, and reads as absent from then on.
+    ``kind`` of artifact, and reads as absent from then on.  A file that
+    another reader removes or quarantines first also reads as absent.
     """
-    if not os.path.exists(path):
+    try:
+        with open(path, "rb") as handle:
+            raw = handle.read()
+    except FileNotFoundError:
         return None
     try:
-        with open(path) as handle:
-            data = json.load(handle)
+        data = json.loads(raw)
         if not isinstance(data, dict):
             raise ValueError(f"not a JSON object: {type(data).__name__}")
-        return data if build is None else build(data)
+        return raw, (data if build is None else build(data))
     except (ValueError, TypeError) as exc:
-        os.replace(path, path + ".corrupt")
+        try:
+            os.replace(path, path + ".corrupt")
+        except FileNotFoundError:
+            return None
         warnings.warn(f"quarantined corrupt {kind} {path} -> "
                       f"{path}.corrupt: {exc}", RuntimeWarning, stacklevel=3)
         return None
+
+
+def read_json_object(path: str, kind: str,
+                     build: Optional[Callable[[Dict[str, Any]], Any]] = None
+                     ) -> Optional[Any]:
+    """:func:`read_json_file` without the bytes."""
+    read = read_json_file(path, kind, build)
+    return None if read is None else read[1]

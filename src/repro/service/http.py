@@ -15,7 +15,7 @@ GET       /api/jobs/<id>                      one job
 GET       /api/jobs/<id>/progress             long-poll live progress
 POST      /api/jobs/<id>/cancel               cancel (bounded latency)
 GET       /api/records                        record summaries
-GET       /api/records/<key>                  full campaign record
+GET       /api/records/<key>                  the stored record file's bytes
 GET       /api/records/<key>/series.csv       metric series (text/csv)
 GET       /api/records/<key>/trace.json       Perfetto trace_event counters
 ========  ==================================  ===============================
@@ -39,12 +39,19 @@ from .dashboard import DASHBOARD_HTML
 from .scheduler import CampaignService
 from .spec import SpecError
 
-__all__ = ["ServiceHandler", "make_server", "MAX_BODY_BYTES"]
+__all__ = ["ServiceHandler", "make_server", "MAX_BODY_BYTES",
+           "IDLE_TIMEOUT_SECONDS"]
 
 _log = get_logger("service.http")
 
 #: Largest request body the server reads (a sweep spec is under 1 KiB).
 MAX_BODY_BYTES = 1 << 20
+
+#: Seconds a connection may wait on a socket read or write before its
+#: handler thread drops it: an idle keep-alive or a client that stops
+#: sending mid-request no longer holds a thread forever.  The progress
+#: long-poll waits on the service, not on the socket, so it is unaffected.
+IDLE_TIMEOUT_SECONDS = 60.0
 
 
 class ServiceHandler(BaseHTTPRequestHandler):
@@ -57,6 +64,8 @@ class ServiceHandler(BaseHTTPRequestHandler):
 
     server_version = "repro-service/1.0"
     protocol_version = "HTTP/1.1"
+    #: The stdlib's per-connection socket timeout.
+    timeout = IDLE_TIMEOUT_SECONDS
 
     def log_message(self, format: str, *args: Any) -> None:
         # Route through the structured logger instead of the stdlib's
@@ -192,12 +201,13 @@ class ServiceHandler(BaseHTTPRequestHandler):
         self._json(200, payload)
 
     def _records_get(self, parts: Tuple[str, ...]) -> None:
-        record = self.service.store.load_key(parts[0])
-        if record is None:
+        stored = self.service.store.load_key(parts[0])
+        if stored is None:
             self._error(404, f"no record for key {parts[0]!r}")
             return
+        raw, record = stored
         if len(parts) == 1:
-            self._json(200, record)
+            self._send(200, raw, "application/json")
             return
         if parts[1:] not in (("series.csv",), ("trace.json",)):
             self._error(404, f"no such route GET {self.path}")

@@ -1,10 +1,10 @@
 """Key-indexed result views for the campaign service.
 
 The store *is* the existing content-addressed :class:`Campaign`
-directory — the service adds no second persistence format, so records a
-client fetches over HTTP are byte-for-byte the files a serial
-``Campaign.run`` would have written (and the quarantining reader in
-:mod:`repro.persist` protects every read path).  On top of it this
+directory — the service adds no second persistence format, and a record
+a client fetches over HTTP is the stored file's own bytes, the file a
+serial ``Campaign.run`` would have written (and the quarantining reader
+in :mod:`repro.persist` protects every read path).  On top of it this
 module provides the projections the HTTP results API serves: record
 summaries, the sampled metric series as CSV text, and a Perfetto-loadable
 ``trace_event`` counter document built from the same series.
@@ -12,9 +12,10 @@ summaries, the sampled metric series as CSV text, and a Perfetto-loadable
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..obs.export import render_series_csv
+from ..persist import read_json_file
 from ..sim.campaign import Campaign
 
 __all__ = ["ResultStore"]
@@ -39,8 +40,10 @@ class ResultStore:
         return self._campaign.directory
 
     # ------------------------------------------------------------------
-    def load_key(self, key: str) -> Optional[Dict[str, Any]]:
-        return self._campaign.load_key(key)
+    def load_key(self, key: str) -> Optional[Tuple[bytes, Dict[str, Any]]]:
+        """The stored bytes of one record and the record they parse to,
+        or None (a damaged file is quarantined and reads as absent)."""
+        return read_json_file(self._campaign._path(key), "campaign record")
 
     def keys(self) -> List[str]:
         return self._campaign.keys()

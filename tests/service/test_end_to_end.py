@@ -145,7 +145,7 @@ class TestCheckpointResume:
         assert job.state == "done", job.error
         assert job.executed == 1
 
-        record = service.store.load_key(key)
+        _, record = service.store.load_key(key)
         record.pop("config")
         record.pop("runtime", None)
         assert record == baseline
@@ -293,10 +293,11 @@ class TestHttpEndToEnd:
         # The record served over HTTP is the stored file, byte for byte.
         with urllib.request.urlopen(
                 f"{base}/api/records/{key}") as response:
-            served = json.load(response)
+            assert response.headers["Content-Type"] == "application/json"
+            served = response.read()
         with open(os.path.join(service.store.directory,
-                               f"{key}.json")) as handle:
-            assert served == json.load(handle)
+                               f"{key}.json"), "rb") as handle:
+            assert served == handle.read()
 
         with urllib.request.urlopen(
                 f"{base}/api/records/{key}/series.csv") as response:

@@ -6,11 +6,17 @@ layer lives in test_end_to_end.py.
 """
 
 import json
+import os
 import socket
+import threading
+import time
 import urllib.error
 import urllib.request
 
 import pytest
+
+from repro.service import make_server
+from repro.service.http import IDLE_TIMEOUT_SECONDS
 
 pytestmark = pytest.mark.service
 
@@ -200,6 +206,26 @@ class TestRecordRoutes:
             lambda: get(base, f"/api/records/{key}/trace.json"))
         assert code == 404
 
+    @pytest.mark.parametrize("content", ['{"key": "truncated...', "[]"],
+                             ids=["truncated", "not-an-object"])
+    def test_damaged_record_is_quarantined_and_404(self, server, content):
+        service, base = server
+        key = "00aa00aa00aa00aa"
+        path = os.path.join(service.store.directory, f"{key}.json")
+        with open(path, "w") as handle:
+            handle.write(content)
+        with pytest.warns(RuntimeWarning, match="quarantined corrupt"):
+            code, payload = error_of(
+                lambda: get(base, f"/api/records/{key}"))
+        assert code == 404
+        assert "no record" in payload["error"]
+        assert not os.path.exists(path)
+        assert os.path.exists(path + ".corrupt")
+        # Quarantined reads as absent: a plain 404 from then on.
+        code, payload = error_of(lambda: get(base, f"/api/records/{key}"))
+        assert code == 404
+        assert "no record" in payload["error"]
+
     def test_unknown_record_subview_404(self, server):
         service, base = server
         key = "00cd00cd00cd00cd"
@@ -208,3 +234,33 @@ class TestRecordRoutes:
             lambda: get(base, f"/api/records/{key}/nope.bin"))
         assert code == 404
         assert "no such route" in payload["error"]
+
+
+class TestIdleTimeout:
+    def test_idle_connections_are_closed_and_threads_end(self, service):
+        httpd = make_server(service)
+        assert httpd.RequestHandlerClass.timeout == IDLE_TIMEOUT_SECONDS
+        httpd.RequestHandlerClass.timeout = 0.2
+        host, port = httpd.server_address[:2]
+        serving = threading.Thread(target=httpd.serve_forever, daemon=True)
+        serving.start()
+        before = set(threading.enumerate())
+        sockets = [socket.create_connection((host, port), timeout=5.0)
+                   for _ in range(3)]
+        try:
+            # Nothing is sent; the server hangs up on every socket ...
+            for sock in sockets:
+                assert sock.recv(1) == b""
+            # ... and the handler threads it started end.
+            deadline = time.monotonic() + 5.0
+            while any(thread not in before
+                      and "process_request" in thread.name
+                      for thread in threading.enumerate()):
+                assert time.monotonic() < deadline, \
+                    "handler threads outlived their connections"
+                time.sleep(0.01)
+        finally:
+            for sock in sockets:
+                sock.close()
+            httpd.shutdown()
+            httpd.server_close()

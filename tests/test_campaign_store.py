@@ -7,12 +7,14 @@ duplicate configs inside one call, the parallel runner reporting
 ignoring ``workers`` when handed a ``pool``.
 """
 
+import builtins
 import json
 import multiprocessing
 import os
 
 import pytest
 
+from repro import persist
 from repro.sim.campaign import (
     Campaign,
     CampaignError,
@@ -100,6 +102,40 @@ class TestCorruptRecordQuarantine:
         corrupt = self._plant_corrupt(campaign, payload="")
         with pytest.warns(RuntimeWarning):
             assert campaign.records() == []
+        assert os.path.exists(corrupt + ".corrupt")
+
+    def test_record_quarantined_before_open_reads_as_absent(
+            self, tmp_path, monkeypatch):
+        # Another reader quarantines the damaged file just before this
+        # one opens it.
+        campaign = Campaign(str(tmp_path))
+        corrupt = self._plant_corrupt(campaign)
+
+        def open_after_other_reader(path, *args, **kwargs):
+            if path == corrupt:
+                os.replace(corrupt, corrupt + ".corrupt")
+            return builtins.open(path, *args, **kwargs)
+
+        monkeypatch.setattr(persist, "open", open_after_other_reader,
+                            raising=False)
+        assert campaign.load_key("00deadbeef000000") is None
+        assert os.path.exists(corrupt + ".corrupt")
+
+    def test_record_quarantined_by_a_second_failed_reader_reads_as_absent(
+            self, tmp_path, monkeypatch):
+        # Both readers fail to parse; the other one renames the file
+        # first, so this one's rename finds nothing to move.
+        campaign = Campaign(str(tmp_path))
+        corrupt = self._plant_corrupt(campaign)
+        replace = os.replace
+
+        def replace_after_other_reader(source, target):
+            replace(source, target)
+            replace(source, target)
+
+        monkeypatch.setattr(persist.os, "replace",
+                            replace_after_other_reader)
+        assert campaign.load_key("00deadbeef000000") is None
         assert os.path.exists(corrupt + ".corrupt")
 
 
