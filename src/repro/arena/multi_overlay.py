@@ -17,9 +17,7 @@ message is flooded once per overlay as an independently-tagged copy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Set, Tuple
-
-import networkx as nx
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..core.messages import DataMessage, MessageId
 from ..radio.packet import Packet
@@ -43,14 +41,19 @@ class TaggedData:
     overlay_index: int
 
 
-def greedy_connected_dominating_set(graph: "nx.Graph",
+Adjacency = Dict[int, List[int]]
+
+
+def greedy_connected_dominating_set(adjacency: Adjacency,
                                     allowed: Set[int]) -> Optional[Set[int]]:
-    """A connected dominating set of ``graph`` using only ``allowed`` nodes.
+    """A connected dominating set of the graph ``adjacency`` (as
+    :func:`repro.mobility.connectivity_graph` returns it) using only
+    ``allowed`` nodes.
 
     Returns None when ``allowed`` cannot dominate the graph or cannot be
     connected.  Greedy max-coverage followed by shortest-path stitching.
     """
-    nodes = set(graph.nodes)
+    nodes = set(adjacency)
     if not nodes:
         return set()
     candidates = set(allowed) & nodes
@@ -59,25 +62,23 @@ def greedy_connected_dominating_set(graph: "nx.Graph",
     while uncovered:
         best, best_gain = None, -1
         for candidate in candidates - chosen:
-            gain = len((set(graph[candidate]) | {candidate}) & uncovered)
+            gain = len((set(adjacency[candidate]) | {candidate}) & uncovered)
             if gain > best_gain or (gain == best_gain and best is not None
                                     and candidate < best):
                 best, best_gain = candidate, gain
         if best is None or best_gain <= 0:
             return None  # allowed nodes cannot dominate the rest
         chosen.add(best)
-        uncovered -= set(graph[best]) | {best}
+        uncovered -= set(adjacency[best]) | {best}
     # Stitch components together inside the allowed subgraph.
-    allowed_subgraph = graph.subgraph(candidates)
     while True:
-        components = list(nx.connected_components(
-            graph.subgraph(chosen))) if chosen else []
+        components = _components(adjacency, chosen)
         if len(components) <= 1:
             break
         base = components[0]
         stitched = False
         for other in components[1:]:
-            path = _shortest_path_between(allowed_subgraph, base, other)
+            path = _shortest_path_between(adjacency, candidates, base, other)
             if path is not None:
                 chosen.update(path)
                 stitched = True
@@ -87,21 +88,65 @@ def greedy_connected_dominating_set(graph: "nx.Graph",
     return chosen
 
 
-def _shortest_path_between(graph: "nx.Graph", sources: Set[int],
+# Stitching iterates the component sets, and the first strictly shorter
+# path wins a tie, so the chosen overlays depend on the order of the
+# search below.  It keeps the order the overlays have always been built
+# with (tests/test_graph_oracle.py holds the reference): one
+# breadth-first search, level by level, neighbours in adjacency order,
+# first discovery wins, and each set grown one node at a time in
+# discovery order.
+
+def _components(adjacency: Adjacency, nodes: Iterable[int]) -> List[Set[int]]:
+    """The connected components of the subgraph induced by ``nodes``."""
+    members = {node for node in nodes}
+    # Components start from the node set's own order when it holds under
+    # half the graph, else from the graph's order.
+    starts = (members if 2 * len(members) < len(adjacency)
+              else [node for node in adjacency if node in members])
+    components: List[Set[int]] = []
+    seen: Set[int] = set()
+    for start in starts:
+        if start not in seen:
+            component = {node for node in
+                         _shortest_paths(adjacency, members, start)}
+            seen |= component
+            components.append(component)
+    return components
+
+
+def _shortest_paths(adjacency: Adjacency, within: Set[int],
+                    source: int) -> Dict[int, List[int]]:
+    """A shortest path from ``source`` to every node it reaches through
+    ``within``."""
+    paths = {source: [source]}
+    level = [source]
+    while level:
+        following = []
+        for node in level:
+            for neighbour in adjacency[node]:
+                if neighbour in within and neighbour not in paths:
+                    paths[neighbour] = paths[node] + [neighbour]
+                    following.append(neighbour)
+        level = following
+    return paths
+
+
+def _shortest_path_between(adjacency: Adjacency, within: Set[int],
+                           sources: Set[int],
                            targets: Set[int]) -> Optional[List[int]]:
     best: Optional[List[int]] = None
     for source in sources:
-        if source not in graph:
+        if source not in within:
             return None
-        lengths = nx.single_source_shortest_path(graph, source)
+        paths = _shortest_paths(adjacency, within, source)
         for target in targets:
-            path = lengths.get(target)
+            path = paths.get(target)
             if path is not None and (best is None or len(path) < len(best)):
                 best = path
     return best
 
 
-def build_independent_overlays(graph: "nx.Graph",
+def build_independent_overlays(adjacency: Adjacency,
                                count: int) -> List[Set[int]]:
     """``count`` connected dominating sets, node-disjoint where possible.
 
@@ -114,11 +159,11 @@ def build_independent_overlays(graph: "nx.Graph",
         raise ValueError("count must be >= 1")
     overlays: List[Set[int]] = []
     used: Set[int] = set()
-    all_nodes = set(graph.nodes)
+    all_nodes = set(adjacency)
     for _ in range(count):
-        overlay = greedy_connected_dominating_set(graph, all_nodes - used)
+        overlay = greedy_connected_dominating_set(adjacency, all_nodes - used)
         if overlay is None:
-            overlay = greedy_connected_dominating_set(graph, all_nodes)
+            overlay = greedy_connected_dominating_set(adjacency, all_nodes)
         if overlay is None:
             raise RuntimeError("graph admits no connected dominating set")
         overlays.append(overlay)

@@ -83,6 +83,17 @@ def _worker_count(text: str) -> int:
     return value
 
 
+def _runner_name(text: str) -> str:
+    """A ``fuzz --runner`` name, checked when fuzz arguments are parsed so
+    that building the parser does not import the fuzzer."""
+    from .fuzz.fixtures import RUNNERS
+    if text not in RUNNERS:
+        raise argparse.ArgumentTypeError(
+            f"invalid choice: {text!r} (choose from "
+            f"{', '.join(sorted(RUNNERS))})")
+    return text
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -206,17 +217,16 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz_sub = fuzz_p.add_subparsers(dest="fuzz_command", required=True)
 
     def add_target_args(p: argparse.ArgumentParser) -> None:
-        from .fuzz.fixtures import RUNNERS
         p.add_argument("--n", type=int, default=10,
                        help="world size of the fuzzed target (default 10)")
         p.add_argument("--seed", type=int, default=3,
                        help="world seed of the fuzzed target (default 3)")
         p.add_argument("--protocol", choices=arena.available_protocols(),
                        default="byzcast")
-        p.add_argument("--runner", choices=tuple(sorted(RUNNERS)),
-                       default="experiment",
-                       help="experiment runner; broken_* are planted-bug "
-                            "fixtures for validating the loop itself")
+        p.add_argument("--runner", type=_runner_name, default="experiment",
+                       help="experiment runner (default experiment); "
+                            "broken_* are planted-bug fixtures for "
+                            "validating the loop itself")
         p.add_argument("--delivery-threshold", type=float, default=0.75,
                        help="delivery ratio below which a run counts as "
                             "degraded (default 0.75)")

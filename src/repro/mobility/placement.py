@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from typing import List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Union
 
-import networkx as nx
 import numpy as np
 
 from ..des.random import RandomStream
@@ -92,20 +91,19 @@ def _points(positions: Union[Sequence[Position], np.ndarray],
 
 
 def connectivity_graph(positions: Sequence[Position],
-                       tx_range: float) -> "nx.Graph":
-    """The geometric graph induced by the transmission disks."""
+                       tx_range: float) -> Dict[int, List[int]]:
+    """The geometric graph induced by the transmission disks, as an
+    adjacency dict: every node ``0..n-1`` in order, each mapped to its
+    neighbours in ascending id.  Overlay construction follows this
+    iteration order, so it does not depend on the binning."""
     order, first, second = close_pairs(_points(positions), tx_range)
     a, b = order[first], order[second]
-    low, high = np.minimum(a, b), np.maximum(a, b)
-    by_low_then_high = np.lexsort((high, low))
-    graph = nx.Graph()
-    graph.add_nodes_from(range(len(order)))
-    # Inserted in the order of a double loop over i < j, so adjacency
-    # iteration (which overlay construction follows) does not depend on
-    # the binning.
-    graph.add_edges_from(zip(low[by_low_then_high].tolist(),
-                             high[by_low_then_high].tolist()))
-    return graph
+    ends, neighbours = np.concatenate((a, b)), np.concatenate((b, a))
+    by_end_then_neighbour = np.lexsort((neighbours, ends))
+    stops = np.cumsum(np.bincount(ends, minlength=len(order))).tolist()
+    flat = neighbours[by_end_then_neighbour].tolist()
+    return {node: flat[start:stop]
+            for node, (start, stop) in enumerate(zip([0] + stops, stops))}
 
 
 def _split(points: np.ndarray, tx_range: float) -> Optional[str]:
@@ -148,9 +146,9 @@ def is_connected(positions: Union[Sequence[Position], np.ndarray],
     ``positions`` is a sequence of :class:`Position` or an ``(n, 2)``
     float64 coordinate array.  The edge test is the float64
     squared-distance compare of :meth:`Position.within`, so the verdict
-    equals ``nx.is_connected`` over :func:`connectivity_graph`.  A
-    negative verdict adds one to ``tally`` (if given) under its reason:
-    ``"isolated"`` when some point has no neighbour at all, else
+    says whether a search over :func:`connectivity_graph` reaches every
+    node.  A negative verdict adds one to ``tally`` (if given) under its
+    reason: ``"isolated"`` when some point has no neighbour at all, else
     ``"partitioned"``.
     """
     reason = _split(_points(positions, subset), tx_range)

@@ -14,8 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Set
 
-import networkx as nx
-
+from ..mobility.placement import is_connected
 from ..radio.geometry import Position
 
 __all__ = ["OverlayQuality", "evaluate_overlay"]
@@ -62,18 +61,8 @@ def evaluate_overlay(positions: Dict[int, Position], tx_range: float,
             covered += 1
     coverage = covered / len(correct_nodes) if correct_nodes else 1.0
 
-    graph = nx.Graph()
-    graph.add_nodes_from(correct_overlay)
-    members = sorted(correct_overlay)
-    for i, a in enumerate(members):
-        for b in members[i + 1:]:
-            if positions[a].within(positions[b], tx_range):
-                graph.add_edge(a, b)
-    if graph.number_of_nodes() <= 1:
-        connected = True
-    else:
-        connected = nx.is_connected(graph)
-
+    connected = is_connected([positions[member] for member in correct_overlay],
+                             tx_range)
     return OverlayQuality(
         overlay_size=len(overlay_members),
         correct_overlay_size=len(correct_overlay),

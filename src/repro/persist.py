@@ -38,25 +38,41 @@ def read_json_file(path: str, kind: str,
     ``<path>.corrupt`` with a :class:`RuntimeWarning` naming the
     ``kind`` of artifact, and reads as absent from then on.  A file that
     another reader removes or quarantines first also reads as absent.
+    Only the file that was read is renamed: if a writer replaced it
+    after the read, the new file is read once more instead (and reads as
+    absent if it is replaced again meanwhile).
     """
-    try:
-        with open(path, "rb") as handle:
-            raw = handle.read()
-    except FileNotFoundError:
-        return None
-    try:
-        data = json.loads(raw)
-        if not isinstance(data, dict):
-            raise ValueError(f"not a JSON object: {type(data).__name__}")
-        return raw, (data if build is None else build(data))
-    except (ValueError, TypeError) as exc:
+    for _ in range(2):
         try:
-            os.replace(path, path + ".corrupt")
+            handle = open(path, "rb")
         except FileNotFoundError:
             return None
-        warnings.warn(f"quarantined corrupt {kind} {path} -> "
-                      f"{path}.corrupt: {exc}", RuntimeWarning, stacklevel=3)
+        with handle:
+            raw = handle.read()
+            try:
+                data = json.loads(raw)
+                if not isinstance(data, dict):
+                    raise ValueError(
+                        f"not a JSON object: {type(data).__name__}")
+                return raw, (data if build is None else build(data))
+            except (ValueError, TypeError) as exc:
+                error = exc
+                read = os.fstat(handle.fileno())
+        try:
+            now = os.stat(path)
+        except FileNotFoundError:
+            return None
+        if (now.st_dev, now.st_ino) == (read.st_dev, read.st_ino):
+            break
+    else:
+        return None  # replaced again while this reader looked
+    try:
+        os.replace(path, path + ".corrupt")
+    except FileNotFoundError:
         return None
+    warnings.warn(f"quarantined corrupt {kind} {path} -> "
+                  f"{path}.corrupt: {error}", RuntimeWarning, stacklevel=3)
+    return None
 
 
 def read_json_object(path: str, kind: str,

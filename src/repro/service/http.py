@@ -84,7 +84,7 @@ class ServiceHandler(BaseHTTPRequestHandler):
         self.wfile.write(body)
 
     def _json(self, code: int, payload: Any) -> None:
-        body = json.dumps(payload, indent=1, sort_keys=True).encode()
+        body = json.dumps(payload, sort_keys=True).encode()
         self._send(code, body, "application/json")
 
     def _error(self, code: int, message: str) -> None:

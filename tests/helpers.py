@@ -132,6 +132,20 @@ SWAPPABLE_BEHAVIORS = ("mute", "forging", "selective_drop", "gossip_liar",
                       "deaf", "limited_send")
 
 
+def path_adjacency(count: int) -> Dict[int, List[int]]:
+    """The path 0-1-...-(count-1) as an adjacency dict (the shape
+    :func:`repro.mobility.connectivity_graph` returns)."""
+    return {node: [other for other in (node - 1, node + 1)
+                   if 0 <= other < count]
+            for node in range(count)}
+
+
+def complete_adjacency(count: int) -> Dict[int, List[int]]:
+    """Every pair of ``count`` nodes joined, as an adjacency dict."""
+    return {node: [other for other in range(count) if other != node]
+            for node in range(count)}
+
+
 def fault_events(n: int, horizon: float = 6.0, *,
                  include_attackers: bool = True):
     """Strategy yielding one arbitrary :class:`repro.chaos.FaultEvent`.

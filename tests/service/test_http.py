@@ -109,6 +109,12 @@ class TestJobRoutes:
         _, listing = get_json(base, "/api/jobs")
         assert [entry["id"] for entry in listing] == [job["id"]]
 
+    def test_json_bodies_are_compact_with_sorted_keys(self, server):
+        _, base = server
+        post(base, "/api/jobs", SPEC)
+        _, _, body = get(base, "/api/jobs")
+        assert body == json.dumps(json.loads(body), sort_keys=True).encode()
+
     def test_submit_bad_spec_400(self, server):
         _, base = server
         code, payload = error_of(

@@ -25,7 +25,7 @@ from repro.radio.medium import Medium
 from repro.sim.experiment import ExperimentConfig
 from repro.workloads.scenarios import ScenarioConfig
 
-from tests.helpers import line_coords
+from tests.helpers import complete_adjacency, line_coords, path_adjacency
 
 
 def build_baseline(protocol, coords, tx_range=100.0, seed=2,
@@ -128,55 +128,57 @@ class TestOverlayOnly:
 
 
 class TestCdsConstruction:
+    # networkx draws the random graphs and checks connectivity; the code
+    # under test only sees adjacency dicts.
     def test_greedy_cds_dominates_and_connects(self):
         graph = nx.connected_watts_strogatz_graph(15, 4, 0.3, seed=7)
-        cds = greedy_connected_dominating_set(graph, set(graph.nodes))
+        adjacency = nx.to_dict_of_lists(graph)
+        cds = greedy_connected_dominating_set(adjacency, set(adjacency))
         assert cds
-        for node in graph.nodes:
-            assert node in cds or any(m in cds for m in graph[node])
+        for node in adjacency:
+            assert node in cds or any(m in cds for m in adjacency[node])
         assert nx.is_connected(graph.subgraph(cds))
 
     def test_infeasible_allowed_set_returns_none(self):
-        graph = nx.path_graph(5)
-        assert greedy_connected_dominating_set(graph, {0}) is None
+        assert greedy_connected_dominating_set(path_adjacency(5), {0}) is None
 
     def test_empty_graph(self):
-        assert greedy_connected_dominating_set(nx.Graph(), set()) == set()
+        assert greedy_connected_dominating_set({}, set()) == set()
 
     def test_independent_overlays_disjoint_when_possible(self):
-        graph = nx.complete_graph(8)  # any single node dominates
-        overlays = build_independent_overlays(graph, 3)
+        adjacency = complete_adjacency(8)  # any single node dominates
+        overlays = build_independent_overlays(adjacency, 3)
         assert len(overlays) == 3
         assert not (overlays[0] & overlays[1])
         assert not (overlays[0] & overlays[2])
 
     def test_each_overlay_dominates(self):
-        graph = nx.connected_watts_strogatz_graph(12, 4, 0.2, seed=3)
-        overlays = build_independent_overlays(graph, 2)
+        adjacency = nx.to_dict_of_lists(
+            nx.connected_watts_strogatz_graph(12, 4, 0.2, seed=3))
+        overlays = build_independent_overlays(adjacency, 2)
         for overlay in overlays:
-            for node in graph.nodes:
+            for node in adjacency:
                 assert node in overlay or any(m in overlay
-                                              for m in graph[node])
+                                              for m in adjacency[node])
 
     def test_invalid_count(self):
         with pytest.raises(ValueError):
-            build_independent_overlays(nx.path_graph(3), 0)
+            build_independent_overlays(path_adjacency(3), 0)
 
     # ---- n < 3 edge cases: tiny graphs still admit overlays ----------
     def test_single_node_graph(self):
-        graph = nx.complete_graph(1)
-        overlays = build_independent_overlays(graph, 2)
+        overlays = build_independent_overlays(complete_adjacency(1), 2)
         assert overlays == [{0}, {0}]
 
     def test_two_node_graph(self):
-        graph = nx.path_graph(2)
-        overlays = build_independent_overlays(graph, 2)
+        adjacency = path_adjacency(2)
+        overlays = build_independent_overlays(adjacency, 2)
         assert len(overlays) == 2
         for overlay in overlays:
             assert overlay <= {0, 1}
-            for node in graph.nodes:
+            for node in adjacency:
                 assert node in overlay or any(m in overlay
-                                              for m in graph[node])
+                                              for m in adjacency[node])
 
 
 class TestMultiOverlay:
@@ -213,8 +215,9 @@ class TestMultiOverlay:
         # registered factory computes from the connectivity graph.
         coords = ([(x * 70.0, 0.0) for x in range(4)]
                   + [(x * 70.0, 60.0) for x in range(4)])
-        graph = connectivity_graph([Position(*c) for c in coords], 100.0)
-        overlays = build_independent_overlays(graph, 2)
+        adjacency = connectivity_graph([Position(*c) for c in coords],
+                                       100.0)
+        overlays = build_independent_overlays(adjacency, 2)
         candidates = (overlays[0] - overlays[1]) - {0}
         if not candidates:
             pytest.skip("greedy construction found no disjoint member")

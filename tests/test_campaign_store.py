@@ -138,6 +138,48 @@ class TestCorruptRecordQuarantine:
         assert campaign.load_key("00deadbeef000000") is None
         assert os.path.exists(corrupt + ".corrupt")
 
+    def test_record_rewritten_after_a_failed_parse_is_kept(
+            self, tmp_path, monkeypatch):
+        # A writer replaces the damaged file between this reader's read
+        # and its quarantine: the new, good record must stay in place.
+        campaign = Campaign(str(tmp_path))
+        corrupt = self._plant_corrupt(campaign)
+        loads = json.loads
+        parsed = []
+
+        def rewritten_while_parsing(raw):
+            parsed.append(raw)
+            if len(parsed) == 1:
+                with persist.atomic_write(corrupt) as handle:
+                    handle.write('{"key": "00deadbeef000000"}')
+                raise ValueError("damaged")
+            return loads(raw)
+
+        monkeypatch.setattr(persist.json, "loads", rewritten_while_parsing)
+        assert campaign.load_key("00deadbeef000000") \
+            == {"key": "00deadbeef000000"}
+        assert len(parsed) == 2
+        assert not os.path.exists(corrupt + ".corrupt")
+        with open(corrupt) as handle:
+            assert loads(handle.read()) == {"key": "00deadbeef000000"}
+
+    def test_record_replaced_after_every_read_is_left_alone(
+            self, tmp_path, monkeypatch):
+        # The file changes under both reads: this reader renames nothing
+        # it did not read and reports the record absent.
+        campaign = Campaign(str(tmp_path))
+        corrupt = self._plant_corrupt(campaign)
+
+        def rewritten_while_parsing(raw):
+            with persist.atomic_write(corrupt) as handle:
+                handle.write('{"key": "still being written')
+            raise ValueError("damaged")
+
+        monkeypatch.setattr(persist.json, "loads", rewritten_while_parsing)
+        assert campaign.load_key("00deadbeef000000") is None
+        assert os.path.exists(corrupt)
+        assert not os.path.exists(corrupt + ".corrupt")
+
 
 # ----------------------------------------------------------------------
 # force=True must not double-run duplicates within one call
