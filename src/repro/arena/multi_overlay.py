@@ -70,20 +70,23 @@ def greedy_connected_dominating_set(adjacency: Adjacency,
             return None  # allowed nodes cannot dominate the rest
         chosen.add(best)
         uncovered -= set(adjacency[best]) | {best}
-    # Stitch components together inside the allowed subgraph.
+    # Stitch components together inside the allowed subgraph: each round
+    # joins the first component the base component reaches.
     while True:
         components = _components(adjacency, chosen)
         if len(components) <= 1:
             break
         base = components[0]
-        stitched = False
+        # One search per base source serves every other component
+        # (``chosen`` only holds candidates, so each source is inside).
+        searches = [_shortest_paths(adjacency, candidates, source)
+                    for source in base]
         for other in components[1:]:
-            path = _shortest_path_between(adjacency, candidates, base, other)
+            path = _shortest_path_between(searches, other)
             if path is not None:
                 chosen.update(path)
-                stitched = True
                 break
-        if not stitched:
+        else:
             return None  # allowed subgraph cannot connect the CDS
     return chosen
 
@@ -131,14 +134,13 @@ def _shortest_paths(adjacency: Adjacency, within: Set[int],
     return paths
 
 
-def _shortest_path_between(adjacency: Adjacency, within: Set[int],
-                           sources: Set[int],
+def _shortest_path_between(searches: List[Dict[int, List[int]]],
                            targets: Set[int]) -> Optional[List[int]]:
+    """The shortest path to ``targets`` among ``searches`` (one
+    :func:`_shortest_paths` result per source): the first strictly
+    shorter path wins, scanning sources then targets in order."""
     best: Optional[List[int]] = None
-    for source in sources:
-        if source not in within:
-            return None
-        paths = _shortest_paths(adjacency, within, source)
+    for paths in searches:
         for target in targets:
             path = paths.get(target)
             if path is not None and (best is None or len(path) < len(best)):

@@ -10,17 +10,21 @@ re-run is almost entirely cache hits, plus checkpoint resume for the
 config it died inside).
 
 The queue is owned by one service process; a single lock serializes the
-scheduler thread against the HTTP handler threads.
+scheduler thread against the HTTP handler threads.  Claiming the oldest
+queued job and reading the queue depth cost the same however many
+finished jobs the table holds: a heap of queued ids and a count of them
+are kept up to date by every write.
 """
 
 from __future__ import annotations
 
+import heapq
 import json
 import os
 import re
 import threading
-from dataclasses import asdict, dataclass, field, replace
-from typing import Any, Dict, List, Optional
+from dataclasses import dataclass, field, fields, replace
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..persist import atomic_write, read_json_object
 
@@ -58,11 +62,16 @@ class Job:
         return self.state in TERMINAL_STATES
 
     def to_dict(self) -> Dict[str, Any]:
-        return asdict(self)
+        # Shallow: a job is frozen and only ever changed through
+        # ``replace``, so its spec and key list are never mutated.
+        return {name: getattr(self, name) for name in _JOB_FIELDS}
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "Job":
         return cls(**data)
+
+
+_JOB_FIELDS = tuple(entry.name for entry in fields(Job))
 
 
 class JobQueue:
@@ -72,14 +81,21 @@ class JobQueue:
         self._directory = directory
         self._lock = threading.Lock()
         self._jobs: Dict[str, Job] = {}
+        #: ``(submitted, id)`` of every queued job, plus entries of jobs
+        #: that have left the queued state since (skipped on claim).
+        self._queued: List[Tuple[int, str]] = []
+        self._depth = 0
         os.makedirs(directory, exist_ok=True)
-        names = sorted(os.listdir(directory))
+        names = os.listdir(directory)
+        loaded = []
         for name in names:
             if name.endswith(".json"):
                 job = read_json_object(os.path.join(directory, name),
                                        "job file", build=Job.from_dict)
                 if job is not None:
-                    self._jobs[job.id] = job
+                    loaded.append(job)
+        for job in sorted(loaded, key=lambda job: job.submitted):
+            self._track(job)
         # A quarantined job's id is never handed out again.
         self._seq = 1 + max((int(match.group(1)) for match in
                              map(_JOB_FILE.match, names) if match),
@@ -89,14 +105,34 @@ class JobQueue:
     def directory(self) -> str:
         return self._directory
 
+    @property
+    def depth(self) -> int:
+        """Jobs currently in state ``queued``."""
+        return self._depth
+
     # ------------------------------------------------------------------
     def _save(self, job: Job) -> None:
         path = os.path.join(self._directory, f"{job.id}.json")
+        # ``json.dumps`` without ``indent`` runs the C encoder;
+        # ``json.dump`` and any ``indent`` run the pure-Python one.
+        data = json.dumps(job.to_dict(), sort_keys=True)
         with atomic_write(path) as handle:
-            json.dump(job.to_dict(), handle, indent=1, sort_keys=True)
+            handle.write(data)
+
+    def _track(self, job: Job) -> None:
+        """Hold ``job`` in memory and keep the queued heap and count in
+        step with its state."""
+        previous = self._jobs.get(job.id)
+        was_queued = previous is not None and previous.state == "queued"
+        if job.state == "queued" and not was_queued:
+            heapq.heappush(self._queued, (job.submitted, job.id))
+            self._depth += 1
+        elif was_queued and job.state != "queued":
+            self._depth -= 1
+        self._jobs[job.id] = job
 
     def _store(self, job: Job) -> Job:
-        self._jobs[job.id] = job
+        self._track(job)
         self._save(job)
         return job
 
@@ -121,8 +157,9 @@ class JobQueue:
     def claim_next(self) -> Optional[Job]:
         """Oldest queued job, flipped to running; None when idle."""
         with self._lock:
-            for job in sorted(self._jobs.values(),
-                              key=lambda job: job.submitted):
+            while self._queued:
+                _, job_id = heapq.heappop(self._queued)
+                job = self._jobs[job_id]
                 if job.state == "queued":
                     return self._store(replace(job, state="running"))
             return None

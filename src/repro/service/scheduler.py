@@ -11,6 +11,13 @@ has a record, or repeats a key earlier in the job, counts as a cache hit
 service), and the remainder runs through ``Campaign.run`` in chunks so
 cancellation and preemption have bounded latency.
 
+A spec's key list is derived once per process: the service remembers
+the keys each spec it expanded produced, and a later job with the same
+spec whose keys are all stored finishes without expanding or hashing
+anything.  The remembered lists come only from this process's own
+expansions, never from job files (which other code versions may have
+written).
+
 Resumability comes in two layers, both inherited rather than invented
 here: a SIGTERM-killed *worker process* leaves a ``CheckpointConfig``
 snapshot that the next run of the same config picks up mid-simulation,
@@ -29,6 +36,7 @@ as a long-poll at ``GET /api/jobs/<id>/progress``).
 
 from __future__ import annotations
 
+import json
 import logging
 import os
 import threading
@@ -80,6 +88,9 @@ class CampaignService:
         #: the version they last saw.
         self._progress_cond = threading.Condition()
         self._progress_version = 0
+        #: Canonical spec JSON -> the key list its expansion produced
+        #: (one entry per distinct spec this process has expanded).
+        self._spec_keys: Dict[str, List[str]] = {}
         self.queue.requeue_running()
         self._update_queue_depth()
 
@@ -223,9 +234,7 @@ class CampaignService:
             self._progress_cond.notify_all()
 
     def _update_queue_depth(self) -> None:
-        depth = sum(1 for job in self.queue.jobs()
-                    if job.state == "queued")
-        self._m_queue_depth.set(depth)
+        self._m_queue_depth.set(self.queue.depth)
 
     def _update_rates(self) -> None:
         configs = self._m_configs.value
@@ -272,27 +281,40 @@ class CampaignService:
             self._notify_progress()
 
     def _run_job_body(self, job: Job) -> Job:
-        try:
-            configs = SweepSpec.from_dict(job.spec).expand()
-        except Exception as exc:
-            # The job file is read back from disk: outside input, so no
-            # error in it may take the scheduler thread down.
-            self._m_failed.inc()
-            event(_log, "job.failed", level=logging.ERROR, error=str(exc))
-            return self.queue.update(job.id, state="failed",
-                                     error=str(exc))
-        # Task-level dedupe: the first occurrence of a key not yet in the
-        # store runs; everything else — within-job duplicates and records
-        # from earlier jobs — is a cache hit.
-        keys, pending = self.store.campaign.pending(configs)
-        cache_hits = len(configs) - len(pending)
-        job = self.queue.update(
-            job.id, total=len(configs), cache_hits=cache_hits, keys=keys)
-        self._m_configs.inc(len(configs))
+        # A spec this process has expanded before, whose keys are all
+        # stored, needs neither expansion nor hashing.
+        canonical = json.dumps(job.spec, sort_keys=True)
+        keys = self._spec_keys.get(canonical)
+        if keys is not None and all(map(self.store.campaign.stored, keys)):
+            pending: List[Tuple[str, Any]] = []
+        else:
+            try:
+                configs = SweepSpec.from_dict(job.spec).expand()
+            except Exception as exc:
+                # The job file is read back from disk: outside input, so
+                # no error in it may take the scheduler thread down.
+                self._m_failed.inc()
+                event(_log, "job.failed", level=logging.ERROR,
+                      error=str(exc))
+                return self.queue.update(job.id, state="failed",
+                                         error=str(exc))
+            # Task-level dedupe: the first occurrence of a key not yet in
+            # the store runs; everything else — within-job duplicates and
+            # records from earlier jobs — is a cache hit.
+            keys, pending = self.store.campaign.pending(configs)
+            self._spec_keys[canonical] = keys
+        total = len(keys)
+        cache_hits = total - len(pending)
+        self._m_configs.inc(total)
         self._m_cache_hits.inc(cache_hits)
         self._update_rates()
-        self._notify_progress()
-        event(_log, "job.started", total=len(configs),
+        if pending:
+            # A job with nothing to run skips this write: its one final
+            # write below carries the same counts.
+            self.queue.update(job.id, total=total, cache_hits=cache_hits,
+                              keys=keys)
+            self._notify_progress()
+        event(_log, "job.started", total=total,
               cache_hits=cache_hits, pending=len(pending))
         executed = 0
         try:
@@ -348,8 +370,10 @@ class CampaignService:
                                      executed=executed, error=str(exc))
         self._m_completed.inc()
         event(_log, "job.completed", executed=executed,
-              cache_hits=cache_hits, total=len(configs))
-        return self.queue.update(job.id, state="done", executed=executed)
+              cache_hits=cache_hits, total=total)
+        return self.queue.update(job.id, state="done", total=total,
+                                 cache_hits=cache_hits, keys=keys,
+                                 executed=executed)
 
     def _chunk_kernel_events(self, chunk: List[Tuple[str, Any]]) -> int:
         """Kernel events fired by the records a chunk just persisted,

@@ -124,7 +124,13 @@ class Campaign:
         return os.path.join(self._directory, f"{key}.json")
 
     def has(self, config: ExperimentConfig) -> bool:
-        return os.path.exists(self._path(config_key(config)))
+        return self.stored(config_key(config))
+
+    def stored(self, key: str) -> bool:
+        """Whether a record file exists for ``key``.  An existence check
+        only: the record is not parsed, so a damaged one counts as
+        stored until a read quarantines it."""
+        return os.path.exists(self._path(key))
 
     def load(self, config: ExperimentConfig) -> Optional[Dict[str, Any]]:
         return self.load_key(config_key(config))
@@ -167,8 +173,7 @@ class Campaign:
         for config in configs:
             key = config_key(config)
             keys.append(key)
-            if key not in claimed and (
-                    force or not os.path.exists(self._path(key))):
+            if key not in claimed and (force or not self.stored(key)):
                 pending.append((key, config))
             claimed.add(key)
         return keys, pending

@@ -35,7 +35,7 @@ import json
 import os
 import pickle
 from dataclasses import dataclass
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Tuple
 
 from ..persist import atomic_write, temp_path
 
@@ -101,10 +101,31 @@ class CheckpointConfig:
 # ----------------------------------------------------------------------
 # Configuration identity
 # ----------------------------------------------------------------------
+#: Leaf types returned as they are, matched by exact type.
+_SCALAR_TYPES = frozenset((str, int, float, bool, type(None)))
+
+#: Field names of every dataclass type met so far, in field order.
+_FIELD_NAMES: Dict[type, Tuple[str, ...]] = {}
+
+
 def _jsonable(value: Any) -> Any:
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return {field.name: _jsonable(getattr(value, field.name))
-                for field in dataclasses.fields(value)}
+    """``value`` as plain JSON data: dataclass instances and dicts become
+    dicts (dict items sorted, keys as ``str``), lists and tuples lists,
+    scalars stay as they are and anything else becomes its ``repr``.
+
+    Exact scalar types return first, and each dataclass type's field
+    names are looked up once; subclasses take the ``isinstance`` checks.
+    """
+    kind = type(value)
+    if kind in _SCALAR_TYPES:
+        return value
+    names = _FIELD_NAMES.get(kind)
+    if names is None and dataclasses.is_dataclass(value) \
+            and not isinstance(value, type):
+        names = _FIELD_NAMES[kind] = tuple(
+            field.name for field in dataclasses.fields(value))
+    if names is not None:
+        return {name: _jsonable(getattr(value, name)) for name in names}
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in sorted(value.items())}
     if isinstance(value, (list, tuple)):

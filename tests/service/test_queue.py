@@ -6,6 +6,8 @@ import os
 import pytest
 
 from repro.service import JobQueue
+from repro.service.queue import Job
+from tests.prometheus import parse_exposition, sample_value
 
 pytestmark = pytest.mark.service
 
@@ -129,3 +131,77 @@ class TestDamagedJobFiles:
             with open(path, "w") as handle:
                 json.dump(data, handle)
         self._restart(*self._service_dir_with(tmp_path, add_key))
+
+
+def _queued(queue):
+    return sum(job.state == "queued" for job in queue.jobs())
+
+
+class TestLargeJobTable:
+    """Claim order and queue depth do not depend on how many finished
+    jobs the table holds, and stay exact through every transition."""
+
+    def _with_terminal_jobs(self, directory, count=2000,
+                            first=999_001):
+        # Ids cross j999999 -> j1000000, where name order and
+        # submission order part.
+        os.makedirs(directory)
+        for seq in range(first, first + count):
+            job = Job(id=f"j{seq:06d}", spec=SPEC, submitted=seq,
+                      state=("done", "failed", "cancelled")[seq % 3])
+            with open(os.path.join(directory, f"{job.id}.json"), "w") as f:
+                json.dump(job.to_dict(), f)
+
+    def test_fifo_and_depth_through_every_transition(self, tmp_path):
+        from repro.service import CampaignService
+        directory = str(tmp_path / "svc")
+        self._with_terminal_jobs(os.path.join(directory, "jobs"))
+        service = CampaignService(directory)
+        queue = service.queue
+
+        def depth(service):
+            """The gauge, once the maintained count matches a scan."""
+            assert service.queue.depth == _queued(service.queue)
+            return sample_value(parse_exposition(service.metrics_text()),
+                                "repro_queue_depth")
+
+        assert len(queue.jobs()) == 2000 and depth(service) == 0
+        a, b, c, d, e = (service.submit(SPEC) for _ in range(5))
+        assert a.id == "j1001001" and depth(service) == 5
+        assert queue.claim_next().id == a.id
+        assert queue.claim_next().id == b.id
+        assert queue.depth == 3
+        service.cancel(c.id)                      # queued -> cancelled
+        service.cancel(a.id)                      # running: flag only
+        assert depth(service) == 2
+        # b goes back to the queue ahead of d and e.
+        queue.update(b.id, state="queued")
+        assert queue.depth == 3
+        assert queue.claim_next().id == b.id
+        # A restart requeues both running jobs, oldest first.
+        reborn = CampaignService(directory)
+        queue = reborn.queue
+        assert depth(reborn) == 4
+        assert [getattr(queue.claim_next(), "id", None)
+                for _ in range(5)] == [a.id, b.id, d.id, e.id, None]
+        assert queue.depth == 0 and _queued(queue) == 0
+        assert queue.get(a.id).cancel_requested is False
+
+    def test_restart_loads_jobs_in_submission_order(self, tmp_path):
+        directory = str(tmp_path)
+        for seq in (999_999, 1_000_000, 1_000_001):
+            job = Job(id=f"j{seq:06d}", spec=SPEC, submitted=seq,
+                      state="running")
+            with open(os.path.join(directory, f"{job.id}.json"), "w") as f:
+                json.dump(job.to_dict(), f)
+        recovered = JobQueue(directory).requeue_running()
+        assert [job.id for job in recovered] \
+            == ["j999999", "j1000000", "j1000001"]
+
+    def test_job_files_are_compact_sorted_json(self, tmp_path):
+        queue = JobQueue(str(tmp_path))
+        job = queue.submit(SPEC)
+        with open(os.path.join(str(tmp_path), f"{job.id}.json")) as f:
+            text = f.read()
+        assert text == json.dumps(job.to_dict(), sort_keys=True)
+        assert Job.from_dict(json.loads(text)) == job
