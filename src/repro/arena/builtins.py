@@ -25,7 +25,8 @@ from ..mobility.placement import connectivity_graph
 from .dolev import DolevNode
 from .flooding import FloodingNode
 from .mtx import MaurerTixeuilNode
-from .multi_overlay import MultiOverlayNode, build_independent_overlays
+from .multi_overlay import MultiOverlayNode, build_independent_overlays, \
+    correct_component
 from .optflood import OptFloodNode
 from .overlay_only import OverlayOnlyNode
 from .registry import BuildContext, register_protocol
@@ -71,7 +72,8 @@ def build_multi_overlay(ctx: BuildContext) -> List[MultiOverlayNode]:
     scenario = ctx.config.scenario
     graph = connectivity_graph(list(ctx.positions), scenario.tx_range)
     count = ctx.config.overlay_count or max(1, len(ctx.assignment)) + 1
-    overlays = build_independent_overlays(graph, count)
+    overlays = build_independent_overlays(
+        correct_component(graph, ctx.assignment), count)
     return [MultiOverlayNode(
         ctx.sim, ctx.medium, i, ctx.positions[i], scenario.tx_range,
         ctx.streams, ctx.directory,

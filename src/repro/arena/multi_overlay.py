@@ -27,6 +27,7 @@ __all__ = [
     "TaggedData",
     "greedy_connected_dominating_set",
     "build_independent_overlays",
+    "correct_component",
     "MultiOverlayNode",
 ]
 
@@ -171,6 +172,26 @@ def build_independent_overlays(adjacency: Adjacency,
         overlays.append(overlay)
         used |= overlay
     return overlays
+
+
+def correct_component(adjacency: Adjacency,
+                      faulty: Iterable[int]) -> Adjacency:
+    """The part of ``adjacency`` the overlays are built over: the
+    connected component that holds the correct nodes (placement keeps
+    them connected, so the lowest correct id's component holds them
+    all).  A faulty node out of every correct node's reach is left out —
+    it hears none of the overlays' traffic, and with it in the graph no
+    connected dominating set exists.  A connected graph comes back as
+    it is."""
+    faulty = set(faulty)
+    source = next((node for node in adjacency if node not in faulty), None)
+    if source is None:
+        return adjacency
+    reach = _shortest_paths(adjacency, set(adjacency), source)
+    if len(reach) == len(adjacency):
+        return adjacency
+    return {node: neighbours for node, neighbours in adjacency.items()
+            if node in reach}
 
 
 class MultiOverlayNode(ArenaNode):

@@ -133,6 +133,8 @@ class ObsConfig:
     phases: Optional[Tuple[str, ...]] = None
     #: Attach the span dicts to ``ExperimentResult.trace`` (the metric
     #: series always travels; spans can be bulky for big campaigns).
+    #: An experiment with this off and no oracle builds no spans at all:
+    #: nothing would read them, so its context keeps counts only.
     spans_in_result: bool = True
 
     def __post_init__(self) -> None:
@@ -224,9 +226,14 @@ class ObsContext:
     ids deterministic across a resume.
     """
 
-    def __init__(self, config: ObsConfig = ObsConfig(), sim=None):
+    def __init__(self, config: ObsConfig = ObsConfig(), sim=None,
+                 keep_stream: bool = True):
         self._config = config
         self._sim = sim
+        #: Build :class:`Span` records; without it the context only
+        #: counts (``span_count``, ``dropped_spans`` and the phase tallies
+        #: come out the same) and ``spans`` stays empty.
+        self._keep_stream = keep_stream
         self.spans: List[Span] = []
         self.dropped = 0
         self._seq = 0
@@ -266,11 +273,21 @@ class ObsContext:
              msg: Optional[Tuple[int, int]] = None,
              duration: float = 0.0, **detail: Any) -> Optional[str]:
         """Record one lifecycle event; returns its span id (or ``None``
-        when span recording is off / the phase is filtered)."""
+        when span recording is off / the phase is filtered / the context
+        keeps counts only)."""
         config = self._config
         if not config.spans:
             return None
         if self._phase_filter is not None and phase not in self._phase_filter:
+            return None
+        kept = config.capacity is None or self._seq < config.capacity
+        if kept:
+            self._seq += 1
+            counts = self._phase_counts
+            counts[phase] = counts.get(phase, 0) + 1
+        else:
+            self.dropped += 1
+        if not self._keep_stream:
             return None
         # span_id()'s format, with the "o:s" prefix rendered once.
         if msg is None:
@@ -282,15 +299,9 @@ class ObsContext:
         k = self._occurrences.get(key, 0) + 1
         self._occurrences[key] = k
         sid = f"{prefix}/{node}/{k}"
-        spans = self.spans
-        if config.capacity is not None and len(spans) >= config.capacity:
-            self.dropped += 1
-            return sid
-        self._seq += 1
-        spans.append(Span(self._seq, sid, self._sim.now, phase, node, msg,
-                          duration, detail))
-        counts = self._phase_counts
-        counts[phase] = counts.get(phase, 0) + 1
+        if kept:
+            self.spans.append(Span(self._seq, sid, self._sim.now, phase,
+                                   node, msg, duration, detail))
         return sid
 
     def last_span_id(self, node: int,
@@ -333,7 +344,7 @@ class ObsContext:
     def _export_payload(self) -> Dict[str, Any]:
         payload: Dict[str, Any] = {
             "meta": dict(self.meta),
-            "span_count": len(self.spans),
+            "span_count": self._seq,
             "dropped_spans": self.dropped,
             "series": self.registry.series_dict(),
             "counters": self.counters(),

@@ -101,11 +101,20 @@ def _run_record(task: Tuple[str, ExperimentConfig]
                 ) -> Tuple[str, Dict[str, Any]]:
     """Worker-process task body: run one config, build its record.
 
+    A record never holds the span stream, so an observed config runs
+    with ``spans_in_result`` off (without an oracle its context then
+    counts spans and builds none); the record is built from the config
+    as given, so its key and bytes do not depend on it.
+
     Module-level (not a method) so it pickles under every multiprocessing
     start method.
     """
     key, config = task
-    return key, result_to_record(config, run_experiment(config))
+    run_config = config
+    if config.observe is not None and config.observe.spans_in_result:
+        run_config = dataclasses.replace(config, observe=dataclasses.replace(
+            config.observe, spans_in_result=False))
+    return key, result_to_record(config, run_experiment(run_config))
 
 
 class Campaign:

@@ -73,7 +73,9 @@ __all__ = [
 #: v9: the kernel has one scheduling path: ``Event`` lost its
 #: ``transient`` slot and ``Simulator`` its slab free list, and
 #: ``NetworkNode`` no longer keeps its ``NodeStackConfig``.
-CHECKPOINT_VERSION = 9
+#: v10: ``ObsContext`` carries ``_keep_stream``: a context whose span
+#: stream nothing reads counts spans without building them.
+CHECKPOINT_VERSION = 10
 
 
 class CheckpointError(RuntimeError):

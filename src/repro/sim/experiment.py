@@ -610,10 +610,17 @@ def _build_observability(config: ExperimentConfig, sim: Simulator, nodes,
     """Assemble the observability context and its metric sampler for one
     world.  Nothing is attached to the nodes, the medium, the chaos
     controller or the oracle: the instrumented seams find the context
-    through :data:`repro.obs.context.ACTIVE`."""
+    through :data:`repro.obs.context.ACTIVE`.
+
+    The span stream is kept only when something reads it: the result
+    exports it (``spans_in_result``) or the oracle cross-references
+    violations to the last span of the offending node.  Otherwise the
+    context counts spans without building them."""
     scenario = config.scenario
     observe = config.observe
-    obs_ctx = ObsContext(observe, sim=sim)
+    obs_ctx = ObsContext(
+        observe, sim=sim,
+        keep_stream=observe.spans_in_result or oracle is not None)
     if oracle is not None:
         latency_bound = oracle.latency_bound
         buffer_bound = oracle.buffer_bound
