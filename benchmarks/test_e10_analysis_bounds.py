@@ -8,6 +8,11 @@ about:
   completion time and its ratio to the bound (the bound should be loose);
 * **Buffer size**: a static node buffers at most ``retention · δ``
   messages at injection rate δ.
+
+``ProtocolConfig.max_timeout()`` is the one home of ``max_timeout``;
+:class:`repro.chaos.InvariantOracle` derives the same two bounds from it
+and checks them on live runs, and ``tests/test_analysis_bounds.py``
+pins them in tier-1.
 """
 
 from repro.core.config import ProtocolConfig

@@ -22,14 +22,12 @@ from .multi_overlay import MultiOverlayNode
 from .optflood import OptFloodNode
 from .overlay_only import OverlayOnlyNode
 from .registry import (
-    ENTRY_POINT_GROUP,
     BuildContext,
     NodeFactory,
     ProtocolSpec,
     available_protocols,
     get_protocol,
     is_registered,
-    load_entry_point_protocols,
     protocol_specs,
     register_protocol,
     unregister_protocol,
@@ -43,7 +41,6 @@ __all__ = [
     "BuildContext",
     "DolevData",
     "DolevNode",
-    "ENTRY_POINT_GROUP",
     "FloodingNode",
     "MaurerTixeuilNode",
     "MultiOverlayNode",
@@ -55,7 +52,6 @@ __all__ = [
     "disjoint_path_count",
     "get_protocol",
     "is_registered",
-    "load_entry_point_protocols",
     "protocol_specs",
     "register_builtin_protocols",
     "register_protocol",

@@ -5,8 +5,8 @@ comparison baselines, and the rival reliable-broadcast protocols from
 the literature — is registered here behind one uniform factory
 interface.  The experiment runner (:mod:`repro.sim.experiment`) builds
 its node population exclusively through this registry, so a protocol
-registered by anyone (including an external package via the
-``repro.protocols`` entry-point group) automatically works with
+registered by anyone (an out-of-tree package calls
+:func:`register_protocol` from its own code) automatically works with
 :class:`~repro.sim.experiment.ExperimentConfig`, the chaos controller,
 the invariant oracle, checkpoint/resume, observability tracing, the
 fuzzer, campaigns, and — most importantly — inherits the whole
@@ -50,16 +50,7 @@ __all__ = [
     "is_registered",
     "available_protocols",
     "protocol_specs",
-    "load_entry_point_protocols",
-    "ENTRY_POINT_GROUP",
 ]
-
-#: setuptools entry-point group scanned by
-#: :func:`load_entry_point_protocols` — external packages expose
-#: ``name = package.module:register`` and their ``register()`` callable
-#: is invoked with no arguments to self-register.
-ENTRY_POINT_GROUP = "repro.protocols"
-
 
 @dataclass
 class BuildContext:
@@ -175,33 +166,3 @@ def available_protocols() -> List[str]:
 
 def protocol_specs() -> List[ProtocolSpec]:
     return [_REGISTRY[name] for name in available_protocols()]
-
-
-def load_entry_point_protocols(group: str = ENTRY_POINT_GROUP) -> List[str]:
-    """Discover external protocols via setuptools entry points.
-
-    Each entry point in ``group`` must resolve to a zero-argument
-    callable that performs its own :func:`register_protocol` calls.
-    Returns the names that appeared.  Missing ``importlib.metadata`` or
-    broken distributions are skipped, never fatal — an arena with only
-    the built-ins is still an arena.
-    """
-    before = set(_REGISTRY)
-    try:
-        from importlib.metadata import entry_points
-    except ImportError:  # pragma: no cover - py<3.8 never ships here
-        return []
-    try:
-        eps = entry_points()
-        if hasattr(eps, "select"):
-            selected = eps.select(group=group)
-        else:  # pragma: no cover - importlib.metadata < 3.10 dict API
-            selected = eps.get(group, ())
-        for entry in selected:
-            try:
-                entry.load()()
-            except Exception:  # one broken plugin must not kill the rest
-                continue
-    except Exception:  # pragma: no cover - metadata backend misbehaving
-        return []
-    return sorted(set(_REGISTRY) - before)

@@ -278,9 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
     ls_p.add_argument("--n", type=int, default=40,
                       help="world size at which to evaluate each "
                            "protocol's stated mute tolerance (default 40)")
-    ls_p.add_argument("--discover", action="store_true",
-                      help="also scan the 'repro.protocols' entry-point "
-                           "group for externally-installed protocols")
 
     ar_p = arena_sub.add_parser(
         "run", help="run one registered protocol (same knobs as "
@@ -603,11 +600,6 @@ def _fuzz_main(args: argparse.Namespace, out) -> int:
 def _arena_main(args: argparse.Namespace, out) -> int:
     """The ``repro arena`` subcommand family (protocol registry)."""
     if args.arena_command == "list":
-        if args.discover:
-            found = arena.load_entry_point_protocols()
-            if found:
-                print(f"discovered via entry points: {', '.join(found)}",
-                      file=out)
         rows = []
         for spec in arena.protocol_specs():
             rows.append({

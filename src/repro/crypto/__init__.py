@@ -11,7 +11,6 @@ from .dsa import (
     generate_parameters,
     is_probable_prime,
 )
-from .envelope import SignedEnvelope, sign_fields
 from .keystore import (
     DsaScheme,
     HmacScheme,
@@ -32,7 +31,6 @@ __all__ = [
     "HmacScheme",
     "KeyDirectory",
     "SignatureScheme",
-    "SignedEnvelope",
     "Signer",
     "default_parameters",
     "digest_int",
@@ -41,6 +39,5 @@ __all__ = [
     "generate_parameters",
     "is_probable_prime",
     "sha256",
-    "sign_fields",
     "signed_bytes",
 ]

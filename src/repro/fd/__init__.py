@@ -1,7 +1,6 @@
 """Failure detectors: MUTE, VERBOSE, TRUST (Figure 2 of the paper)."""
 
 from .events import ANY, ExpectMode, HeaderPattern, SuspicionReason
-from .interval import IntervalChecker, PropertyReport, Window
 from .mute import Expectation, MuteConfig, MuteFailureDetector
 from .trust import TrustConfig, TrustFailureDetector, TrustLevel
 from .verbose import VerboseConfig, VerboseFailureDetector
@@ -11,15 +10,12 @@ __all__ = [
     "Expectation",
     "ExpectMode",
     "HeaderPattern",
-    "IntervalChecker",
     "MuteConfig",
     "MuteFailureDetector",
-    "PropertyReport",
     "SuspicionReason",
     "TrustConfig",
     "TrustFailureDetector",
     "TrustLevel",
     "VerboseConfig",
     "VerboseFailureDetector",
-    "Window",
 ]

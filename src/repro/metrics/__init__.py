@@ -1,16 +1,8 @@
-"""Metrics: delivery records, latency/overhead summaries."""
+"""Metrics: per-broadcast delivery records and latency statistics."""
 
 from .collector import BroadcastRecord, MetricsCollector
-from .fd_metrics import FdScorecard, SuspicionEvent
-from .summary import Summary, mean, percentile, summarize
 
 __all__ = [
     "BroadcastRecord",
-    "FdScorecard",
-    "SuspicionEvent",
     "MetricsCollector",
-    "Summary",
-    "mean",
-    "percentile",
-    "summarize",
 ]

@@ -2,14 +2,13 @@
 
 from .channel import ReliableChannel
 from .flow import FlowControlledSender
-from .ordering import FifoDeliveryQueue, GapPolicy, OrderedDelivery
+from .ordering import FifoDeliveryQueue, GapPolicy
 from .stability import StabilityConfig, StabilityDetector
 
 __all__ = [
     "FifoDeliveryQueue",
     "FlowControlledSender",
     "GapPolicy",
-    "OrderedDelivery",
     "ReliableChannel",
     "StabilityConfig",
     "StabilityDetector",

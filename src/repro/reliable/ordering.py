@@ -26,10 +26,9 @@ import enum
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional
 
-from ..core.messages import MessageId
 from ..des.kernel import Simulator
 
-__all__ = ["GapPolicy", "FifoDeliveryQueue", "OrderedDelivery"]
+__all__ = ["GapPolicy", "FifoDeliveryQueue"]
 
 DeliverCallback = Callable[[int, int, bytes], None]   # (source, seq, payload)
 GapCallback = Callable[[int, int], None]              # (source, skipped seq)
@@ -124,25 +123,3 @@ class FifoDeliveryQueue:
         self._drain(source, state)
         if state.pending:
             self._arm_gap_timer(source, state)
-
-
-class OrderedDelivery:
-    """Glue: attach a FIFO queue to a protocol node.
-
-    Usage::
-
-        ordered = OrderedDelivery(sim, node, on_deliver)
-        # on_deliver(source, seq, payload) fires in per-source FIFO order
-    """
-
-    def __init__(self, sim: Simulator, node, deliver: DeliverCallback, *,
-                 gap_policy: GapPolicy = GapPolicy.STALL,
-                 gap_timeout: float = 30.0,
-                 on_gap: Optional[GapCallback] = None):
-        self.queue = FifoDeliveryQueue(sim, deliver, gap_policy=gap_policy,
-                                       gap_timeout=gap_timeout, on_gap=on_gap)
-        node.add_accept_listener(self._on_accept)
-
-    def _on_accept(self, receiver: int, originator: int, payload: bytes,
-                   msg_id: MessageId) -> None:
-        self.queue.offer(originator, msg_id.seq, payload)

@@ -17,8 +17,8 @@ Protocols come from the :mod:`repro.arena` registry.  The repo ships:
 * ``"optflood"``       — counter-suppressed optimized flooding;
 * ``"maurer_tixeuil"`` — CPA-style loosely-connected broadcast;
 
-plus anything registered via :func:`repro.arena.register_protocol` (or
-the ``repro.protocols`` entry-point group) before the config is built.
+plus anything registered via :func:`repro.arena.register_protocol`
+before the config is built.
 """
 
 from __future__ import annotations
@@ -65,6 +65,7 @@ from ..telemetry.runtime import runtime_block
 from ..workloads.scenarios import ScenarioConfig
 from ..workloads.sources import BroadcastEvent, periodic_source
 from .checkpoint import (
+    _EXECUTION_FIELDS,
     CheckpointConfig,
     CheckpointError,
     config_key,
@@ -516,11 +517,17 @@ def _run_experiment_body(config: ExperimentConfig) -> ExperimentResult:
         path = latest_checkpoint(config.checkpoint.directory, key)
         if path is not None:
             try:
-                return finish_world(load_checkpoint(path, expect_key=key))
+                world = load_checkpoint(path, expect_key=key)
+                # The key leaves out how a run executes, so a snapshot
+                # resumes only under the caller's observe/medium settings.
+                if all(getattr(world.config, name) == getattr(config, name)
+                       for name in _EXECUTION_FIELDS if name != "checkpoint"):
+                    return finish_world(world)
             except CheckpointError:
-                # Unusable snapshot (stale format, corrupt, wrong config):
-                # a fresh run is always a correct fallback.
-                discard_checkpoint(config.checkpoint.directory, key)
+                pass
+            # Unusable snapshot (stale format, corrupt, wrong config, other
+            # execution settings): a fresh run is always a correct fallback.
+            discard_checkpoint(config.checkpoint.directory, key)
     return finish_world(build_world(config))
 
 

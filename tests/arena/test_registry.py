@@ -1,4 +1,4 @@
-"""Registry contract: registration, lookup, discovery, and the
+"""Registry contract: registration, lookup, and the
 config-key regression pin.
 
 The pin matters most: moving protocol construction behind the arena
@@ -14,13 +14,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-import repro.arena as arena
 from repro.arena.registry import (
     ProtocolSpec,
     available_protocols,
     get_protocol,
     is_registered,
-    load_entry_point_protocols,
     register_protocol,
     unregister_protocol,
 )
@@ -125,57 +123,3 @@ def test_invalid_names_rejected(bad):
 def test_builtin_shadowing_requires_replace():
     with pytest.raises(ValueError, match="already registered"):
         register_protocol("byzcast", _factory)
-
-
-# ----------------------------------------------------------------------
-# Entry-point discovery
-# ----------------------------------------------------------------------
-class _FakeEntryPoint:
-    def __init__(self, name, loader):
-        self.name = name
-        self._loader = loader
-
-    def load(self):
-        return self._loader
-
-
-class _FakeEntryPoints:
-    """Mimics the importlib.metadata >= 3.10 ``.select`` API."""
-
-    def __init__(self, entries):
-        self._entries = entries
-
-    def select(self, *, group):
-        return self._entries if group == arena.ENTRY_POINT_GROUP else ()
-
-
-def test_entry_point_discovery_registers(monkeypatch):
-    import importlib.metadata as md
-
-    def hook():
-        register_protocol("ep_test_protocol", _factory,
-                          description="from entry point")
-
-    monkeypatch.setattr(md, "entry_points", lambda: _FakeEntryPoints(
-        [_FakeEntryPoint("ep_test_protocol", hook)]))
-    try:
-        discovered = load_entry_point_protocols()
-        assert "ep_test_protocol" in discovered
-        assert is_registered("ep_test_protocol")
-    finally:
-        unregister_protocol("ep_test_protocol")
-
-
-def test_entry_point_discovery_swallows_broken_plugins(monkeypatch):
-    import importlib.metadata as md
-
-    class _Broken:
-        name = "broken_plugin"
-
-        def load(self):
-            raise ImportError("plugin is broken")
-
-    monkeypatch.setattr(md, "entry_points",
-                        lambda: _FakeEntryPoints([_Broken()]))
-    assert load_entry_point_protocols() == []
-    assert not is_registered("broken_plugin")

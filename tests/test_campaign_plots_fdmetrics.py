@@ -1,7 +1,5 @@
 """Tests for campaigns and FD scorecards."""
 
-from repro.adversary.behaviors import MuteBehavior
-from repro.metrics.fd_metrics import FdScorecard
 from repro.sim.campaign import Campaign, config_key, result_to_record
 from repro.sim.experiment import ExperimentConfig, run_experiment
 from repro.workloads.scenarios import ScenarioConfig
@@ -68,47 +66,3 @@ class TestCampaign:
         assert record["protocol"] == "byzcast"
         assert isinstance(record["physical"], dict)
         assert isinstance(record["config"], dict)
-
-
-class TestFdScorecard:
-    def run_attack(self):
-        positions = [(0.0, 0.0), (80.0, 30.0), (80.0, -30.0), (160.0, 0.0)]
-        sim, medium, nodes, _ = build_network(
-            positions, 100.0, behaviors={2: MuteBehavior()})
-        scorecard = FdScorecard(byzantine={2}, correct={0, 1, 3})
-        scorecard.attach_network(nodes, sim)
-        sim.run(until=8.0)
-        start = sim.now
-        for i in range(8):
-            nodes[0].broadcast(f"p{i}".encode())
-            sim.run(until=sim.now + 3.0)
-        return scorecard, start
-
-    def test_recall_and_precision(self):
-        scorecard, _ = self.run_attack()
-        assert scorecard.recall() == 1.0
-        assert scorecard.precision() == 1.0
-        assert scorecard.wrongly_suspected_nodes() == set()
-
-    def test_detection_latency(self):
-        scorecard, start = self.run_attack()
-        latency = scorecard.detection_latency(2, since=start)
-        assert latency is not None
-        assert 0 < latency < 30.0
-        assert scorecard.detection_latency(99) is None
-
-    def test_summary(self):
-        scorecard, _ = self.run_attack()
-        summary = scorecard.summary()
-        assert summary["recall"] == 1.0
-        assert summary["events"] >= 1
-
-    def test_byzantine_observers_not_scored(self):
-        scorecard = FdScorecard(byzantine={2}, correct={0})
-        scorecard.record(1.0, observer=2, target=0, detector="mute")
-        assert scorecard.events == []
-
-    def test_empty_scorecard_defaults(self):
-        scorecard = FdScorecard(byzantine=set(), correct={0})
-        assert scorecard.precision() is None
-        assert scorecard.recall() == 1.0

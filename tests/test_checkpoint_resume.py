@@ -437,6 +437,25 @@ def test_observe_setting_does_not_change_config_key(tmp_path):
         config_key(config)
 
 
+def test_snapshot_of_other_observe_setting_is_discarded(tmp_path):
+    """The key leaves ``observe`` out, so an unobserved snapshot sits
+    where an observed re-run of the same config looks.  It must not
+    resume (the run would export no spans): the re-run starts fresh and
+    returns the trace an uninterrupted observed run returns."""
+    from repro.obs import ObsConfig
+
+    config = base_config()
+    ck = replace(config, checkpoint=CheckpointConfig(
+        every=1.0, directory=str(tmp_path)))
+    interrupt(ck, 5.0, str(tmp_path))
+    resumed = run_experiment(replace(ck, observe=ObsConfig()))
+    baseline = run_experiment(replace(config, observe=ObsConfig()))
+    assert resumed.trace is not None
+    assert json.dumps(resumed.trace, sort_keys=True) == \
+        json.dumps(baseline.trace, sort_keys=True)
+    assert latest_checkpoint(str(tmp_path), config_key(ck)) is None
+
+
 # ----------------------------------------------------------------------
 # Real kill: SIGTERM a campaign worker, resume, compare
 # ----------------------------------------------------------------------

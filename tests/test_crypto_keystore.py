@@ -1,9 +1,8 @@
-"""Unit tests for signature schemes, key directory, and envelopes."""
+"""Unit tests for signature schemes and the key directory."""
 
 import pytest
 
 from repro.crypto import dsa
-from repro.crypto.envelope import SignedEnvelope, sign_fields
 from repro.crypto.keystore import DsaScheme, HmacScheme, KeyDirectory
 
 SMALL_PARAMS = dsa.generate_parameters(p_bits=256, q_bits=160, seed=b"ks")
@@ -99,39 +98,6 @@ class TestKeyDirectory:
     def test_signature_size_delegated(self):
         directory = KeyDirectory(HmacScheme(seed=b"d"))
         assert directory.signature_size == HmacScheme.SIGNATURE_SIZE
-
-
-class TestEnvelope:
-    def test_roundtrip(self):
-        directory = KeyDirectory(HmacScheme(seed=b"e"))
-        signer = directory.issue(3)
-        envelope = sign_fields(signer, (1, "abc", b"\x00\x01"))
-        assert envelope.originator == 3
-        assert envelope.verify(directory)
-
-    def test_field_mutation_detected(self):
-        directory = KeyDirectory(HmacScheme(seed=b"e"))
-        signer = directory.issue(3)
-        envelope = sign_fields(signer, (1, "abc"))
-        mutated = SignedEnvelope(originator=3, fields=(2, "abc"),
-                                 signature=envelope.signature)
-        assert not mutated.verify(directory)
-
-    def test_originator_swap_detected(self):
-        directory = KeyDirectory(HmacScheme(seed=b"e"))
-        signer = directory.issue(3)
-        directory.issue(4)
-        envelope = sign_fields(signer, (1,))
-        stolen = SignedEnvelope(originator=4, fields=(1,),
-                                signature=envelope.signature)
-        assert not stolen.verify(directory)
-
-    def test_unencodable_fields_fail_verification(self):
-        directory = KeyDirectory(HmacScheme(seed=b"e"))
-        directory.issue(3)
-        bogus = SignedEnvelope(originator=3, fields=(object(),),
-                               signature=b"xx")
-        assert not bogus.verify(directory)
 
 
 def test_dsa_scheme_exposes_public_keys():

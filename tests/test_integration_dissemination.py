@@ -121,11 +121,25 @@ class TestMuteOverlayNodes:
         positions = [(0.0, 0.0), (80.0, 30.0), (80.0, -30.0), (160.0, 0.0)]
         sim, medium, nodes, _ = build_network(
             positions, 100.0, behaviors={2: MuteBehavior()})
+        suspicions = []   # (time, observer, target) from correct observers
+        for node in nodes:
+            if node.node_id != 2:
+                for detector in (node.mute, node.verbose):
+                    detector.add_listener(
+                        lambda target, reason, me=node.node_id:
+                        suspicions.append((sim.now, me, target)))
         warm_up(sim)
+        start = sim.now
         for i in range(8):
             nodes[0].broadcast(f"probe {i}".encode())
             sim.run(until=sim.now + 3.0)
         sim.run(until=sim.now + 10.0)
+        # I_mute accuracy: no correct node ever suspects a correct node.
+        assert [s for s in suspicions if s[2] != 2] == []
+        # I_mute completeness: a correct neighbour suspects node 2 within
+        # 30 s of the first probe.
+        assert any(target == 2 and time - start < 30.0
+                   for time, _, target in suspicions), suspicions
         # The suspicion may have aged out by now (the overlay routed around
         # node 2, deliveries normalized, and strikes decayed — the intended
         # recovery cycle), so assert the cumulative evidence instead.

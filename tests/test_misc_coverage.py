@@ -103,13 +103,3 @@ class TestGeometryEdge:
 
     def test_within_zero_radius(self):
         assert not Position(0, 0).within(Position(0, 0), 0.0)
-
-
-class TestEnvelopeRepr:
-    def test_sign_fields_tuple_normalization(self):
-        from repro.crypto.envelope import sign_fields
-        directory = KeyDirectory(HmacScheme(seed=b"env"))
-        signer = directory.issue(5)
-        envelope = sign_fields(signer, [1, "two"])  # list input
-        assert envelope.fields == (1, "two")        # stored as tuple
-        assert envelope.verify(directory)

@@ -11,7 +11,6 @@ from repro.crypto import dsa
 from repro.crypto.digest import digest_int, encode_fields
 from repro.crypto.keystore import HmacScheme
 from repro.fd.events import ANY, HeaderPattern
-from repro.metrics.summary import percentile, summarize
 from repro.radio.geometry import Area, Position
 
 SMALL_PARAMS = dsa.generate_parameters(p_bits=256, q_bits=160, seed=b"prop")
@@ -126,23 +125,3 @@ def test_store_gossip_rotation_covers_everything(count, limit):
 def test_area_reflect_always_lands_inside(x, y, width, height):
     area = Area(width, height)
     assert area.contains(area.reflect(Position(x, y)))
-
-
-@settings(max_examples=100)
-@given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=50),
-       st.floats(0, 1))
-def test_percentile_is_an_element_and_monotone(values, fraction):
-    result = percentile(values, fraction)
-    assert result in values
-    assert percentile(values, 0.0) <= result <= percentile(values, 1.0)
-
-
-@settings(max_examples=100)
-@given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=50))
-def test_summary_invariants(values):
-    summary = summarize(values)
-    tolerance = 1e-6 * (abs(summary.minimum) + abs(summary.maximum) + 1.0)
-    assert summary.minimum <= summary.p50 <= summary.maximum
-    assert summary.minimum - tolerance <= summary.mean \
-        <= summary.maximum + tolerance
-    assert summary.count == len(values)

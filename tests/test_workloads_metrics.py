@@ -6,7 +6,6 @@ from repro.core.messages import MessageId
 from repro.des.kernel import Simulator
 from repro.des.random import RandomStream
 from repro.metrics.collector import MetricsCollector
-from repro.metrics.summary import mean, percentile, summarize
 from repro.workloads.scenarios import (
     AdversaryMix,
     ScenarioConfig,
@@ -175,32 +174,3 @@ class TestCollector:
         collector = MetricsCollector(correct_nodes={0})
         assert collector.delivery_ratio() == 1.0
         assert collector.mean_latency() is None
-
-
-class TestSummary:
-    def test_summarize(self):
-        summary = summarize([1.0, 2.0, 3.0, 4.0])
-        assert summary.count == 4
-        assert summary.mean == pytest.approx(2.5)
-        assert summary.minimum == 1.0
-        assert summary.maximum == 4.0
-
-    def test_summarize_empty(self):
-        assert summarize([]) is None
-
-    def test_mean(self):
-        assert mean([2.0, 4.0]) == 3.0
-        assert mean([]) is None
-
-    def test_percentile_nearest_rank(self):
-        values = [1.0, 2.0, 3.0, 4.0, 5.0]
-        assert percentile(values, 0.0) == 1.0
-        assert percentile(values, 0.5) == 3.0
-        assert percentile(values, 1.0) == 5.0
-
-    def test_percentile_invalid(self):
-        with pytest.raises(ValueError):
-            percentile([1.0], 1.5)
-
-    def test_percentile_empty(self):
-        assert percentile([], 0.5) is None
