@@ -13,9 +13,10 @@ from repro.core.node import NetworkNode, NodeStackConfig
 from repro.crypto.keystore import HmacScheme, KeyDirectory
 from repro.des.kernel import Simulator
 from repro.des.random import StreamFactory
+from repro.des.timers import PeriodicTask
 from repro.radio.geometry import Position
-from repro.reliable.channel import ReliableChannel
 from repro.radio.medium import Medium
+from repro.reliable import FifoDeliveryQueue, StabilityDetector
 
 from common import emit, once
 
@@ -35,17 +36,25 @@ def run_variant(stability_purge: bool):
                          streams, directory, stack)
              for i in range(N)]
     deliveries = {node.node_id: [] for node in nodes}
-    channels = [ReliableChannel(
-        sim, node,
-        deliver=lambda s, q, p, nid=node.node_id:
-        deliveries[nid].append((s, q)),
-        stability_purge=stability_purge, purge_period=1.0)
-        for node in nodes]
+    sent = {node.node_id: 0 for node in nodes}   # highest seq broadcast
+    for node in nodes:
+        nid = node.node_id
+        queue = FifoDeliveryQueue(
+            sim, lambda s, q, p, nid=nid: deliveries[nid].append((s, q)))
+        node.add_accept_listener(
+            lambda receiver, originator, payload, msg_id, queue=queue:
+            queue.offer(originator, msg_id.seq, payload))
+        stability = StabilityDetector(
+            sim, node.neighbors, queue, own_source=nid,
+            own_sent_fn=lambda nid=nid: sent[nid])
+        if stability_purge:
+            PeriodicTask(sim, 1.0, lambda s=stability, n=node:
+                         s.purge_stable(n.protocol.store)).start()
     for node in nodes:
         node.start()
     sim.run(until=8.0)
     for i in range(MESSAGES):
-        channels[0].send(f"m{i}".encode())
+        sent[0] = nodes[0].broadcast(f"m{i}".encode()).seq
         sim.run(until=sim.now + 1.0)
     sim.run(until=sim.now + 15.0)
     peak_buffer = max(node.protocol.stats.max_buffer for node in nodes)

@@ -12,36 +12,36 @@ Run:  python examples/suspicion_timeline.py [trace.jsonl]
 
 import sys
 
-from repro import obs
-from repro.adversary import MuteBehavior
-from repro.crypto import HmacScheme
-from repro.obs import ObsConfig, ObsContext, write_trace
-from repro.sim import NetworkBuilder
+from repro.obs import ObsConfig, write_trace
+from repro.sim import ExperimentConfig, build_world, finish_world
+from repro.workloads import AdversaryMix, BroadcastEvent, ScenarioConfig
 
+#: The four-node diamond: ids 0 and 3 are the far ends, 1 and 2 the arms.
+DIAMOND = ((0.0, 0.0), (80.0, 30.0), (80.0, -30.0), (160.0, 0.0))
 MUTE_NODE = 2
+#: Eight 7-byte probes from node 0, 3 s apart, once the overlay settled.
+PROBES = tuple(BroadcastEvent(time=8.0 + 3.0 * i, source=0, payload_size=7)
+               for i in range(8))
 
 
 def main() -> None:
-    net = (NetworkBuilder(seed=7).diamond()
-           .with_behavior(MUTE_NODE, MuteBehavior())
-           .with_scheme(HmacScheme(seed=b"timeline"))
-           .build(start=False))
+    world = build_world(ExperimentConfig(
+        scenario=ScenarioConfig(
+            n=len(DIAMOND), seed=7, placement=DIAMOND,
+            adversaries=AdversaryMix.mute(1, placement=(MUTE_NODE,))),
+        warmup=0.0, workload=PROBES, drain=13.0, observe=ObsConfig()))
     events = []   # (time, category, node, details), in emission order
 
     def record(category, node, **details):
-        events.append((net.sim.now, category, node, details))
+        events.append((world.sim.now, category, node, details))
 
-    # Subscribe before start(): the first overlay election happens there.
-    for node in net.nodes:
+    # build_world has started the nodes, and start() runs the first
+    # overlay election: record where it left each node, then listen.
+    for node in world.nodes:
+        record("overlay", node.node_id, status=node.overlay.status.value)
+    for node in world.nodes:
         listen(node, record)
-    with obs.session(ObsContext(ObsConfig(), sim=net.sim)) as ctx:
-        for node in net.nodes:
-            node.start()
-        net.run(8.0)
-        for i in range(8):
-            net.nodes[0].broadcast(f"probe {i}".encode())
-            net.run(3.0)
-        net.run(10.0)
+    result = finish_world(world)
 
     print(f"Diamond network, node {MUTE_NODE} mute.  "
           f"{len(events)} events recorded.\n")
@@ -56,7 +56,7 @@ def main() -> None:
 
     print(f"\ntotals: {counts}")
     if len(sys.argv) > 1:
-        written = write_trace(ctx.export_payload(), sys.argv[1])
+        written = write_trace(result.trace, sys.argv[1])
         print(f"wrote {written} spans to {sys.argv[1]}")
 
 

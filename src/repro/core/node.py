@@ -70,8 +70,7 @@ class NetworkNode(NodeShell):
                  position: Position, tx_range: float,
                  streams: StreamFactory, directory: KeyDirectory,
                  stack: Optional[NodeStackConfig] = None,
-                 behavior: Optional[NodeBehavior] = None,
-                 force_overlay: Optional[bool] = None):
+                 behavior: Optional[NodeBehavior] = None):
         stack = stack or NodeStackConfig()
         super().__init__(sim, medium, node_id, position, tx_range, streams,
                          directory, stack.mac)
@@ -89,8 +88,7 @@ class NetworkNode(NodeShell):
         self.overlay = OverlayManager(
             sim, node_id, self.neighbors, self.trust,
             make_election_rule(stack.overlay_rule),
-            streams.stream(f"overlay:{node_id}"), stack.overlay,
-            force_active=force_overlay)
+            streams.stream(f"overlay:{node_id}"), stack.overlay)
         # The protocol verifies through this node's own caching view of
         # the shared directory (per-node verified-signature LRU).  Hello
         # beacons keep the plain directory: every (sender, seq) beacon is

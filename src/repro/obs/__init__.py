@@ -17,9 +17,9 @@ Enable per experiment with ``ExperimentConfig(observe=ObsConfig())`` or
 ``repro run --observe --trace-out trace.jsonl``.  The span stream is an
 observed run's only event stream: ``result.trace``, ``--trace-out``,
 ``repro trace`` and campaign records all read it, and oracle violations
-point into it by span id.  A network built by hand
-(:class:`repro.sim.NetworkBuilder`) is observed the same way, with a
-:func:`session` around its run.  Wall-clock Counter/Gauge/Histogram
+point into it by span id.  A world stepped by hand (``world.sim.run``
+on a :func:`repro.sim.build_world` world) is observed with a
+:func:`session` around each step.  Wall-clock Counter/Gauge/Histogram
 instruments live in :mod:`repro.telemetry.metrics`.
 """
 

@@ -113,8 +113,7 @@ class OverlayManager:
     def __init__(self, sim: Simulator, node_id: int,
                  neighbors: NeighborService, trust: TrustFailureDetector,
                  rule: ElectionRule, rng: RandomStream,
-                 config: OverlayConfig = OverlayConfig(),
-                 force_active: Optional[bool] = None):
+                 config: OverlayConfig = OverlayConfig()):
         self._sim = sim
         self._node_id = node_id
         self._neighbors = neighbors
@@ -124,7 +123,6 @@ class OverlayManager:
         self._status = NodeStatus.PASSIVE
         self._mis = False
         self._reports: Dict[int, NeighborReport] = {}
-        self._force_active = force_active
         self._status_listeners: List = []
         self._step_task = PeriodicTask(sim, config.step_period, self.step_now,
                                        jitter=0.2, rng=rng)
@@ -191,15 +189,10 @@ class OverlayManager:
     def step_now(self) -> NodeStatus:
         """Run one local computation step and adopt the decision."""
         previous = self._status
-        if self._force_active is not None:
-            self._status = (NodeStatus.ACTIVE if self._force_active
-                            else NodeStatus.PASSIVE)
-            self._mis = self._force_active
-        else:
-            view = self.build_view()
-            self._mis = self._rule.mis_member(view)
-            # The rule sees our fresh MIS claim the same way neighbors do.
-            self._status = self._rule.decide(view)
+        view = self.build_view()
+        self._mis = self._rule.mis_member(view)
+        # The rule sees our fresh MIS claim the same way neighbors do.
+        self._status = self._rule.decide(view)
         if self._status is not previous:
             for listener in self._status_listeners:
                 listener(self._node_id, self._status)

@@ -8,7 +8,7 @@ contiguous sequence number) on the signed HELLO beacons; every node
 aggregates the minimum over all nodes it has recently heard from.  A
 message whose sequence number is at or below that network-wide minimum has
 been delivered everywhere the node can see — it is **stable** and safe to
-purge, and the originator's flow-control window can release it.
+purge (:meth:`StabilityDetector.purge_stable`).
 
 This is a classical gossip-style stability protocol (in the spirit of the
 paper's reference [efficient buffering work]): conservative (under-
@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
+from ..core.store import MessageStore
 from ..des.kernel import Simulator
 from .ordering import FifoDeliveryQueue
 
@@ -96,6 +97,15 @@ class StabilityDetector:
         fresh_cutoff = self._sim.now - self._config.report_timeout
         return sorted(node for node, report in self._reports.items()
                       if report.at >= fresh_cutoff)
+
+    def purge_stable(self, store: MessageStore) -> int:
+        """Stability-driven purging: drop from ``store`` the buffered
+        payload of every message this node sees as stable.  Returns how
+        many were dropped.  Run periodically, it replaces holding every
+        message for the whole timeout window."""
+        stable = [msg_id for msg_id in store._messages
+                  if self.is_stable(msg_id.originator, msg_id.seq)]
+        return sum(store.purge_one(msg_id) for msg_id in stable)
 
     # ------------------------------------------------------------------
     def _publish(self) -> Dict[str, Any]:

@@ -19,7 +19,6 @@ from .experiment import (
     run_experiment,
     run_many,
 )
-from .network import Network, NetworkBuilder
 from .render import format_rows, format_series, format_table
 from .sweeps import average_results
 
@@ -30,8 +29,6 @@ __all__ = [
     "ExperimentConfig",
     "ExperimentResult",
     "ExperimentWorld",
-    "Network",
-    "NetworkBuilder",
     "PROTOCOLS",
     "average_results",
     "build_world",

@@ -28,7 +28,7 @@ import multiprocessing
 import signal
 import time
 from contextlib import ExitStack, contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional,
                     Sequence)
 
@@ -231,6 +231,8 @@ class ExperimentConfig:
     source: int = 0
     drain: float = 15.0
     overlay_count: Optional[int] = None   # multi_overlay only
+    #: Explicit broadcasts (an empty one runs beacons only); None means
+    #: ``message_count`` messages from ``source``.
     workload: Optional[Sequence[BroadcastEvent]] = None
     #: Fault timeline replayed against the run (times on the workload
     #: clock: 0 = end of warmup).  None/empty = fault-free.
@@ -522,6 +524,11 @@ def _run_experiment_body(config: ExperimentConfig) -> ExperimentResult:
                 # resumes only under the caller's observe/medium settings.
                 if all(getattr(world.config, name) == getattr(config, name)
                        for name in _EXECUTION_FIELDS if name != "checkpoint"):
+                    # A moved snapshot carries the directory it was
+                    # written to; the rest of the run snapshots into,
+                    # and cleans up, the caller's.
+                    world.config = replace(world.config,
+                                           checkpoint=config.checkpoint)
                     return finish_world(world)
             except CheckpointError:
                 pass
@@ -595,7 +602,8 @@ def build_world(config: ExperimentConfig) -> ExperimentWorld:
     for event in events:
         sim.schedule_at(config.warmup + event.time, _inject, sim, collector,
                         oracle, nodes[event.source], event)
-    horizon = config.warmup + max(e.time for e in events) + config.drain
+    horizon = (config.warmup + max((e.time for e in events), default=0.0)
+               + config.drain)
     if controller is not None:
         controller.start(at=config.warmup)
         horizon = max(horizon,
@@ -787,6 +795,8 @@ def _mean(values: List[float]) -> Optional[float]:
 
 def _positions(scenario: ScenarioConfig, streams: StreamFactory,
                correct: set) -> List[Position]:
+    if not isinstance(scenario.placement, str):
+        return list(scenario.placement)
     side = scenario.side()
     area = Area(side, side)
     rng = streams.stream("placement")

@@ -97,8 +97,9 @@ class ProtocolHarness:
 def build_network(positions: List[Tuple[float, float]], tx_range: float,
                   seed: int = 1, stack: Optional[NodeStackConfig] = None,
                   behaviors: Optional[Dict[int, NodeBehavior]] = None,
-                  force_overlay: Optional[Dict[int, bool]] = None):
-    """A real multi-node network on a unit-disk medium.
+                  start: bool = True):
+    """A real multi-node network on a unit-disk medium, its nodes started
+    unless ``start`` is false.
 
     Returns (sim, medium, nodes, directory).
     """
@@ -107,21 +108,25 @@ def build_network(positions: List[Tuple[float, float]], tx_range: float,
     medium = Medium(sim, streams.stream("medium"))
     directory = KeyDirectory(HmacScheme(seed=str(seed).encode()))
     behaviors = behaviors or {}
-    force_overlay = force_overlay or {}
     nodes = []
     for node_id, (x, y) in enumerate(positions):
         node = NetworkNode(sim, medium, node_id, Position(x, y), tx_range,
                            streams, directory, stack,
-                           behavior=behaviors.get(node_id),
-                           force_overlay=force_overlay.get(node_id))
+                           behavior=behaviors.get(node_id))
         nodes.append(node)
-    for node in nodes:
-        node.start()
+    if start:
+        for node in nodes:
+            node.start()
     return sim, medium, nodes, directory
 
 
 def line_coords(count: int, spacing: float) -> List[Tuple[float, float]]:
     return [(i * spacing, 0.0) for i in range(count)]
+
+
+#: The four-node diamond: ids 0 and 3 are the far ends (out of each
+#: other's range at tx_range 100), 1 and 2 the two arms between them.
+DIAMOND = ((0.0, 0.0), (80.0, 30.0), (80.0, -30.0), (160.0, 0.0))
 
 
 # ----------------------------------------------------------------------

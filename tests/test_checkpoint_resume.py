@@ -130,6 +130,37 @@ def test_resume_from_arbitrary_midpoint(tmp_path, at):
     assert latest_checkpoint(str(tmp_path), config_key(ck)) is None
 
 
+def test_moved_snapshot_resumes_into_the_callers_directory(
+        tmp_path, monkeypatch):
+    """A snapshot moved from A to B and resumed with ``directory=B``
+    snapshots into and cleans up B; A, stored in the snapshot's own
+    config, is never written."""
+    from repro.sim import experiment
+
+    config = base_config()
+    a, b = tmp_path / "a", tmp_path / "b"
+    in_a = replace(config, checkpoint=CheckpointConfig(
+        every=1.0, directory=str(a)))
+    in_b = replace(config, checkpoint=CheckpointConfig(
+        every=1.0, directory=str(b)))
+    baseline = canonical(config, run_experiment(config))
+    path = interrupt(in_a, 4.7, str(a))
+    b.mkdir()
+    os.replace(path, b / os.path.basename(path))
+    written = []
+    real_write = experiment.write_checkpoint
+
+    def spy(world, key, directory):
+        written.append(directory)
+        return real_write(world, key, directory)
+
+    monkeypatch.setattr(experiment, "write_checkpoint", spy)
+    assert canonical(in_b, run_experiment(in_b)) == baseline
+    assert written and set(written) == {str(b)}
+    assert os.listdir(b) == []
+    assert os.listdir(a) == []
+
+
 def test_resume_experiment_entry_point(tmp_path):
     config = base_config(seed=11)
     ck = replace(config, checkpoint=CheckpointConfig(

@@ -5,24 +5,21 @@ same placement, same collisions, same suspicions, same numbers.  These
 tests re-run complete simulations and compare full event traces.
 """
 
-from repro import obs
-from repro.adversary.behaviors import MuteBehavior
-from repro.obs import ObsConfig, ObsContext
+from repro.obs import ObsConfig
 from repro.sim.experiment import ExperimentConfig, run_experiment
-from repro.sim.network import NetworkBuilder
 from repro.workloads.scenarios import AdversaryMix, ScenarioConfig
+
+from tests.helpers import DIAMOND
 
 
 def run_traced(seed):
-    net = (NetworkBuilder(seed=seed).diamond()
-           .with_behavior(2, MuteBehavior()).build())
-    with obs.session(ObsContext(ObsConfig(), sim=net.sim)) as ctx:
-        net.warm_up()
-        for i in range(4):
-            net.nodes[0].broadcast(f"m{i}".encode())
-            net.run(3.0)
-        net.run(5.0)
-    return ctx.span_dicts()
+    """The diamond with one mute arm, observed: its span stream."""
+    config = ExperimentConfig(
+        scenario=ScenarioConfig(n=4, seed=seed, placement=DIAMOND,
+                                adversaries=AdversaryMix.mute(1, (2,))),
+        message_count=4, message_interval=3.0, drain=8.0,
+        observe=ObsConfig())
+    return run_experiment(config).trace["spans"]
 
 
 class TestTraceDeterminism:

@@ -2,7 +2,10 @@
 
 import pytest
 
+from repro.mobility.placement import grid_positions, line_positions
+from repro.radio.geometry import Area
 from repro.service import SweepSpec
+from repro.sim import build_world, config_key, finish_world
 from repro.sim.experiment import (
     ExperimentConfig,
     ExperimentResult,
@@ -14,8 +17,21 @@ from repro.sim.render import format_rows, format_series, format_table
 from repro.sim.sweeps import average_results
 from repro.workloads.scenarios import AdversaryMix, ScenarioConfig
 
+from tests.helpers import DIAMOND, line_coords
+
 SMALL = ScenarioConfig(n=12, seed=2)
 FAST = dict(message_count=2, message_interval=1.0, warmup=5.0, drain=8.0)
+#: Hand-placed worlds: a chain with 80 m hops, and the diamond with its
+#: arm node 2 mute (delivery to node 3 must go round through node 1).
+LINE = ScenarioConfig(n=4, seed=3, placement=tuple(line_coords(4, 80.0)))
+MUTE_ARM = ScenarioConfig(n=4, seed=3, placement=DIAMOND,
+                          adversaries=AdversaryMix.mute(1, (2,)))
+
+
+def without_runtime(result):
+    """The result minus its wall-clock block, for equality checks."""
+    result.runtime = None
+    return result
 
 
 class TestRunExperiment:
@@ -94,11 +110,81 @@ class TestRunExperiment:
         result = run_experiment(ExperimentConfig(scenario=scenario, **FAST))
         assert result.delivery_ratio > 0.8
 
+    @pytest.mark.parametrize("scenario", [
+        LINE, MUTE_ARM,
+        ScenarioConfig(n=3, seed=3, placement=tuple(line_coords(3, 80.0)),
+                       propagation="shadowing", shadowing_sigma=0.05,
+                       background_loss=0.01)],
+        ids=["line", "mute_arm", "shadowed_line"])
+    def test_hand_placed_world_delivers(self, scenario):
+        result = run_experiment(ExperimentConfig(scenario=scenario, **FAST))
+        assert result.byzantine == scenario.adversaries.total
+        assert result.delivery_ratio == 1.0
+        assert result.energy["nodes"] == scenario.n
+        assert result.energy["tx_joules"] > 0
+
+    def test_finish_world_stops_every_node(self):
+        world = build_world(ExperimentConfig(scenario=LINE, **FAST))
+        finish_world(world)
+        before = world.sim.events_fired
+        world.sim.run(until=world.sim.now + 5.0)
+        # Beacons, elections and purges halted: almost nothing fires.
+        assert world.sim.events_fired - before < 20
+
     def test_mobile_scenario_runs(self):
         scenario = ScenarioConfig(n=12, seed=2, mobility="waypoint",
                                   speed_max=1.5)
         result = run_experiment(ExperimentConfig(scenario=scenario, **FAST))
         assert result.broadcasts == 2
+
+
+class TestExplicitPlacement:
+    """Explicit points and Byzantine ids are the named choices spelled
+    out: the same world, the same result."""
+
+    def test_line_points_equal_line(self):
+        named = ScenarioConfig(n=6, seed=4, placement="line")
+        points = tuple(line_positions(6, named.line_spacing_factor
+                                      * named.tx_range))
+        explicit = ScenarioConfig(n=6, seed=4, placement=points)
+        results = [without_runtime(run_experiment(
+            ExperimentConfig(scenario=scenario, **FAST)))
+            for scenario in (named, explicit)]
+        assert results[0] == results[1]
+
+    def test_grid_points_equal_grid(self):
+        named = ScenarioConfig(n=9, seed=4, placement="grid",
+                               area_side=220.0)
+        points = tuple(grid_positions(Area(220.0, 220.0), 9,
+                                      margin=named.tx_range / 4))
+        explicit = ScenarioConfig(n=9, seed=4, placement=points,
+                                  area_side=220.0)
+        results = [without_runtime(run_experiment(
+            ExperimentConfig(scenario=scenario, **FAST)))
+            for scenario in (named, explicit)]
+        assert results[0] == results[1]
+
+    def test_ids_equal_high_id(self):
+        named = ScenarioConfig(n=12, seed=2, adversaries=AdversaryMix.mute(2))
+        explicit = ScenarioConfig(n=12, seed=2,
+                                  adversaries=AdversaryMix.mute(2, (11, 10)))
+        results = [without_runtime(run_experiment(
+            ExperimentConfig(scenario=scenario, **FAST)))
+            for scenario in (named, explicit)]
+        assert results[0] == results[1]
+
+    def test_points_keyed_by_value(self):
+        ints = ScenarioConfig(n=2, placement=((0, 0), (50, 0)))
+        floats = ScenarioConfig(n=2, placement=((0.0, 0.0), (50.0, 0.0)))
+        assert config_key(ExperimentConfig(scenario=ints)) \
+            == config_key(ExperimentConfig(scenario=floats))
+        assert config_key(ExperimentConfig(scenario=ints)) != config_key(
+            ExperimentConfig(scenario=ScenarioConfig(n=2, placement="line")))
+
+    def test_source_id_rejected(self):
+        scenario = ScenarioConfig(n=4, adversaries=AdversaryMix.mute(1, (0,)))
+        with pytest.raises(ValueError, match="source"):
+            build_world(ExperimentConfig(scenario=scenario, **FAST))
 
 
 class TestSweeps:

@@ -88,23 +88,6 @@ def test_suspicion_forwarding_marks_unknown():
     assert trusts[0].level(2) is TrustLevel.UNKNOWN
 
 
-def test_force_active_override():
-    sim = Simulator()
-    streams = StreamFactory(1)
-    medium = Medium(sim, streams.stream("m"), UnitDisk())
-    directory = KeyDirectory(HmacScheme(seed=b"f"))
-    radio = Radio(sim, medium, 1, Position(0, 0), 100.0, streams.stream("mc"))
-    signer = directory.issue(1)
-    service = NeighborService(sim, radio, streams.stream("h"),
-                              signer=signer, directory=directory)
-    trust = TrustFailureDetector(sim)
-    manager = OverlayManager(sim, 1, service, trust, CdsRule(),
-                             streams.stream("o"), force_active=False)
-    manager.start()
-    assert manager.status is NodeStatus.PASSIVE
-    assert not manager.in_overlay
-
-
 def test_malformed_neighbor_state_ignored():
     sim, managers, services, _ = build({0: (0, 0), 1: (50, 0)})
     sim.run(until=3.0)

@@ -2,21 +2,23 @@
 placements must never break validity, and must deliver whenever the
 correct nodes stay connected (the paper's §2.1 precondition)."""
 
+import math
+import random
+
 import networkx as nx
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.adversary.behaviors import MuteBehavior
 from repro.mobility.placement import connectivity_graph
 from repro.radio.geometry import Position
-from repro.sim.network import NetworkBuilder
+from repro.sim import ExperimentConfig, build_world, finish_world
+from repro.workloads import AdversaryMix, BroadcastEvent, ScenarioConfig
 
 TX_RANGE = 100.0
 
 
 def random_coords(seed_int, n):
     """Deterministic pseudo-random connected-ish coordinates."""
-    import random
     rng = random.Random(seed_int)
     coords = [(0.0, 0.0)]
     while len(coords) < n:
@@ -24,35 +26,55 @@ def random_coords(seed_int, n):
         base = rng.choice(coords)
         angle = rng.uniform(0, 6.283)
         dist = rng.uniform(30.0, 85.0)
-        import math
         coords.append((base[0] + dist * math.cos(angle),
                        base[1] + dist * math.sin(angle)))
     return coords
 
 
+@st.composite
+def faulty_worlds(draw):
+    """``(seed_int, n, mute ids)``: the highest ids (the worst case for
+    id-based overlay election) or any set that spares the source 0."""
+    seed_int = draw(st.integers(min_value=0, max_value=10_000))
+    n = draw(st.integers(min_value=4, max_value=7))
+    count = draw(st.integers(min_value=1, max_value=2))
+    mute = draw(st.one_of(
+        st.just(tuple(range(n - 1, n - 1 - count, -1))),
+        st.lists(st.integers(min_value=1, max_value=n - 1), min_size=count,
+                 max_size=count, unique=True).map(tuple)))
+    return seed_int, n, mute
+
+
+def run_world(seed, coords, mute, workload, drain):
+    """Build the given points with the given mute ids through
+    ``build_world``, run the workload, and return the world's nodes."""
+    world = build_world(ExperimentConfig(
+        scenario=ScenarioConfig(
+            n=len(coords), seed=seed, tx_range=TX_RANGE,
+            placement=tuple(coords),
+            adversaries=AdversaryMix.mute(len(mute), placement=mute)),
+        workload=workload, drain=drain))
+    finish_world(world)
+    return world.nodes
+
+
 @settings(max_examples=6, deadline=None)
-@given(st.integers(min_value=0, max_value=10_000),
-       st.integers(min_value=4, max_value=7),
-       st.integers(min_value=1, max_value=2))
-def test_property_delivery_when_correct_connected(seed_int, n, mute_count):
+@given(faulty_worlds())
+def test_property_delivery_when_correct_connected(world):
+    seed_int, n, mute = world
     coords = random_coords(seed_int, n)
-    mute = set(range(n - mute_count, n))  # highest ids (worst case)
     positions = [Position(*c) for c in coords]
-    correct = set(range(n)) - mute
+    correct = set(range(n)) - set(mute)
     # networkx is the oracle for the paper's precondition.
     sub = nx.Graph(connectivity_graph(positions, TX_RANGE)).subgraph(correct)
     correct_connected = sub.number_of_nodes() <= 1 or nx.is_connected(sub)
 
-    builder = NetworkBuilder(seed=seed_int % 97 + 1).positions(coords)
-    for node_id in mute:
-        builder.with_behavior(node_id, MuteBehavior())
-    net = builder.build().warm_up()
-    msg_id = net.nodes[0].broadcast(b"property probe")
-    net.run(35.0)
+    nodes = run_world(seed_int % 97 + 1, coords, mute,
+                      (BroadcastEvent(time=0.0, source=0),), drain=35.0)
 
-    delivered = net.delivered_to(msg_id)
+    delivered = {node.node_id for node in nodes if node.accepted}
     # Validity: every accept references the true originator and payload.
-    for node in net.nodes:
+    for node in nodes:
         for _, originator, mid in node.accepted:
             assert originator == mid.originator
 
@@ -72,11 +94,8 @@ def test_property_delivery_when_correct_connected(seed_int, n, mute_count):
 @given(st.integers(min_value=0, max_value=10_000))
 def test_property_accept_at_most_once_everywhere(seed_int):
     coords = random_coords(seed_int, 5)
-    net = NetworkBuilder(seed=seed_int % 89 + 1).positions(coords) \
-        .build().warm_up()
-    ids = [net.nodes[0].broadcast(f"m{i}".encode()) for i in range(3)]
-    net.run(25.0)
-    for node in net.nodes:
+    burst = (BroadcastEvent(time=0.0, source=0),) * 3
+    for node in run_world(seed_int % 89 + 1, coords, (), burst, drain=25.0):
         seen = [rec[2] for rec in node.accepted]
         assert len(seen) == len(set(seen)), \
             f"node {node.node_id} accepted a duplicate (seed={seed_int})"

@@ -1,10 +1,10 @@
-"""Tracing a hand-built network.
+"""Tracing a world stepped by hand.
 
-A :class:`~repro.sim.NetworkBuilder` network is observed like every
-other run: a ``repro.obs`` session around it records the lifecycle span
-stream, which exports to the JSONL that ``repro trace`` reads.  Overlay,
-trust and suspicion changes reach callers through the nodes' own
-listener hooks.
+A :func:`~repro.sim.build_world` world is observed like every run: a
+``repro.obs`` session around each hand-made step records the lifecycle
+span stream, which exports to the JSONL that ``repro trace`` reads.
+Overlay, trust and suspicion changes reach callers through the nodes'
+own listener hooks.
 """
 
 import json
@@ -12,29 +12,29 @@ import json
 import pytest
 
 from repro import obs
-from repro.adversary.behaviors import MuteBehavior
 from repro.des.kernel import Simulator
 from repro.obs import (ObsConfig, ObsContext, load_trace, timeline,
                        trace_path, write_trace)
-from repro.sim.network import NetworkBuilder
+from repro.sim import ExperimentConfig, build_world, finish_world
+from repro.workloads.scenarios import AdversaryMix, ScenarioConfig
+
+from tests.helpers import DIAMOND, build_network, line_coords
 
 
 def traced_network(until=5.0, **config):
-    """Start a three-node line inside a session and run it to ``until``;
-    returns ``(net, ctx)``."""
-    net = NetworkBuilder(seed=1).line(3).build(start=False)
-    ctx = ObsContext(ObsConfig(**config), sim=net.sim)
-    with obs.session(ctx):
-        for node in net.nodes:
-            node.start()
-        net.run(until)
-    return net, ctx
+    """An observed three-node line with no workload, run to ``until``;
+    returns ``(world, ctx)``."""
+    world = build_world(ExperimentConfig(
+        scenario=ScenarioConfig(n=3, seed=1,
+                                placement=tuple(line_coords(3, 80.0))),
+        warmup=until, workload=(), observe=ObsConfig(**config)))
+    return world, world.obs
 
 
-def broadcast(net, ctx, payload, seconds):
+def broadcast(world, ctx, payload, seconds):
     with obs.session(ctx):
-        msg_id = net.nodes[0].broadcast(payload)
-        net.run(seconds)
+        msg_id = world.nodes[0].broadcast(payload)
+        world.sim.run(until=world.sim.now + seconds)
     return msg_id
 
 
@@ -48,13 +48,13 @@ class TestRecording:
         assert {"tx", "rx"} <= phases(ctx)
 
     def test_accept_events_carry_details(self):
-        net, ctx = traced_network(until=8.0)
+        world, ctx = traced_network(until=8.0)
         accepts = []
-        for node in net.nodes:
+        for node in world.nodes:
             node.add_accept_listener(
                 lambda receiver, originator, payload, msg_id:
                 accepts.append((receiver, originator, payload, msg_id)))
-        msg_id = broadcast(net, ctx, b"traced", 10.0)
+        msg_id = broadcast(world, ctx, b"traced", 10.0)
         assert {row[0] for row in accepts} == {1, 2}
         assert {row[1:] for row in accepts} == {(0, b"traced", msg_id)}
         delivers = [span for span in ctx.spans if span.phase == "deliver"]
@@ -62,39 +62,38 @@ class TestRecording:
             (1, tuple(msg_id)), (2, tuple(msg_id))}
 
     def test_suspect_events_on_mute_attack(self):
-        net = (NetworkBuilder(seed=1).diamond()
-               .with_behavior(2, MuteBehavior()).build(start=False))
+        world = build_world(ExperimentConfig(
+            scenario=ScenarioConfig(n=4, seed=1, placement=DIAMOND,
+                                    adversaries=AdversaryMix.mute(1, (2,))),
+            message_count=8, message_interval=3.0, drain=3.0,
+            observe=ObsConfig()))
         suspects = []
-        for node in net.nodes:
+        for node in world.nodes:
             node.mute.add_listener(
                 lambda target, reason, node_id=node.node_id:
                 suspects.append((node_id, target)))
-            node.start()
-        with obs.session(ObsContext(ObsConfig(), sim=net.sim)) as ctx:
-            net.run(8.0)
-            for i in range(8):
-                net.nodes[0].broadcast(f"p{i}".encode())
-                net.run(3.0)
+        finish_world(world)
         assert any(target == 2 for _, target in suspects)
-        assert "fd_timeout" in phases(ctx)
+        assert "fd_timeout" in phases(world.obs)
 
     def test_overlay_status_flips_recorded(self):
         def flips(subscribe_before_start):
-            net = NetworkBuilder(seed=1).line(4).build(start=False)
+            sim, _, nodes, _ = build_network(line_coords(4, 80.0), 100.0,
+                                             start=False)
             seen = []
 
             def subscribe():
-                for node in net.nodes:
+                for node in nodes:
                     node.overlay.add_status_listener(
                         lambda node_id, status: seen.append(node_id))
 
             if subscribe_before_start:
                 subscribe()
-            for node in net.nodes:
+            for node in nodes:
                 node.start()
             if not subscribe_before_start:
                 subscribe()
-            net.run(10.0)
+            sim.run(until=10.0)
             return seen
 
         early = flips(True)
@@ -112,8 +111,8 @@ class TestRecording:
 
 class TestFilteringAndQuerying:
     def test_category_filter(self):
-        net, ctx = traced_network(until=8.0, phases=("deliver",))
-        broadcast(net, ctx, b"x", 8.0)
+        world, ctx = traced_network(until=8.0, phases=("deliver",))
+        broadcast(world, ctx, b"x", 8.0)
         assert phases(ctx) == {"deliver"}
 
     def test_unknown_category_rejected(self):
@@ -129,8 +128,8 @@ class TestFilteringAndQuerying:
         assert view["nodes"][1]["last"] <= 6.0
 
     def test_first_with_match(self):
-        net, ctx = traced_network(until=8.0)
-        broadcast(net, ctx, b"x", 8.0)
+        world, ctx = traced_network(until=8.0)
+        broadcast(world, ctx, b"x", 8.0)
         path = trace_path(ctx.span_dicts(), "0:1")
         assert path["origin"]["node"] == 0
         assert {hop["node"] for hop in path["deliveries"]} == {1, 2}

@@ -105,6 +105,45 @@ class TestScenario:
             assignment = scenario.byzantine_assignment(4, RandomStream(seed))
             assert 4 not in assignment
 
+    @pytest.mark.parametrize("placement", [
+        ((0.0, 0.0), (50.0, 0.0)),                    # n=3: one short
+        ((0.0, 0.0), (50.0, 0.0), (100.0, 0.0), (150.0, 0.0)),
+        ((0.0, 0.0), (50.0, 0.0), (float("nan"), 0.0)),
+        ((0.0, 0.0), (50.0, 0.0), (100.0, float("inf"))),
+        ((0.0, 0.0), (50.0, 0.0), (100.0,)),
+        ((0.0, 0.0), (50.0, 0.0), "ab"),
+    ])
+    def test_explicit_points_validated(self, placement):
+        with pytest.raises(ValueError):
+            ScenarioConfig(n=3, placement=placement)
+
+    @pytest.mark.parametrize("ids", [
+        (4, 4),          # duplicate
+        (4,),            # fewer ids than Byzantine nodes
+        (4, 5, 6),       # more
+        (4, -1),         # negative
+        (4, 2.0),        # not an id
+    ])
+    def test_explicit_ids_validated(self, ids):
+        with pytest.raises(ValueError):
+            AdversaryMix.mute(2, placement=ids)
+
+    def test_explicit_ids_out_of_range(self):
+        with pytest.raises(ValueError, match="out of range"):
+            ScenarioConfig(n=6, adversaries=AdversaryMix.mute(2, (3, 6)))
+
+    def test_explicit_ids_are_a_source(self):
+        scenario = ScenarioConfig(n=6, adversaries=AdversaryMix.mute(2, (3, 4)))
+        with pytest.raises(ValueError, match="source"):
+            scenario.byzantine_assignment({4}, RandomStream(1))
+
+    def test_explicit_ids_assigned_in_kind_order(self):
+        mix = AdversaryMix(counts={"mute": 2, "forging": 1},
+                           placement=(2, 5, 7))
+        scenario = ScenarioConfig(n=10, adversaries=mix)
+        assignment = scenario.byzantine_assignment(0, RandomStream(1))
+        assert assignment == {2: "forging", 5: "mute", 7: "mute"}
+
     def test_mixed_adversaries(self):
         mix = AdversaryMix(counts={"mute": 2, "forging": 1})
         scenario = ScenarioConfig(n=10, adversaries=mix)
